@@ -77,19 +77,21 @@ class ReturnFunctionMap:
 
     def __init__(self):
         self._functions: Dict[Tuple[str, Variable], ReturnJumpFunction] = {}
+        #: Per-procedure view of ``_functions`` in the same insertion
+        #: order, so :meth:`functions_of` does not scan the whole map.
+        self._by_procedure: Dict[str, Dict[Variable, ReturnJumpFunction]] = {}
 
     def add(self, function: ReturnJumpFunction) -> None:
         self._functions[(function.procedure_name, function.target)] = function
+        self._by_procedure.setdefault(function.procedure_name, {})[
+            function.target
+        ] = function
 
     def lookup(self, procedure_name: str, target: Variable) -> Optional[ReturnJumpFunction]:
         return self._functions.get((procedure_name, target))
 
     def functions_of(self, procedure_name: str) -> List[ReturnJumpFunction]:
-        return [
-            f
-            for (name, _var), f in self._functions.items()
-            if name == procedure_name
-        ]
+        return list(self._by_procedure.get(procedure_name, {}).values())
 
     def __len__(self) -> int:
         return len(self._functions)

@@ -245,3 +245,59 @@ class TestAliasingConservatism:
         for proc in ("s", "w"):
             claimed = result.constants.constants_of(proc)
             assert trace.constant_violations(proc, claimed) == []
+
+
+def scan_functions_of(return_map, procedure_name):
+    """The reference: a scan over the whole map in insertion order."""
+    return [
+        function for function in return_map
+        if function.procedure_name == procedure_name
+    ]
+
+
+def index_matches_scan(program, return_map):
+    for procedure in program:
+        assert return_map.functions_of(procedure.name) == scan_functions_of(
+            return_map, procedure.name
+        ), procedure.name
+
+
+class TestFunctionsOfIndex:
+    """``functions_of`` answers from a per-procedure index; it must
+    list exactly what the whole-map scan lists, in the same order."""
+
+    def test_goldens(self):
+        from repro.oracle.golden import golden_programs
+
+        for name, golden in golden_programs().items():
+            program = lower(golden.source)
+            callgraph, modref = prepare_program(program, golden.config)
+            return_map = build_return_functions(program, callgraph, modref)
+            index_matches_scan(program, return_map)
+
+    def test_generated_200_procedures_and_readd(self):
+        from repro.suite.generator import ScaleConfig, generate_scaled_program
+
+        program, return_map = return_map_for(
+            generate_scaled_program(3, ScaleConfig(procedures=200))
+        )
+        assert len(return_map) > 0
+        index_matches_scan(program, return_map)
+        # Re-adding an existing (procedure, target) key overwrites in
+        # place: the order of both views is unchanged.
+        import dataclasses
+
+        before = [(f.procedure_name, f.target) for f in return_map]
+        readded = [dataclasses.replace(f) for f in list(return_map)[::3]]
+        for function in readded:
+            return_map.add(function)
+        assert [(f.procedure_name, f.target) for f in return_map] == before
+        index_matches_scan(program, return_map)
+        for function in readded:
+            assert any(
+                listed is function
+                for listed in return_map.functions_of(function.procedure_name)
+            )
+
+    def test_unknown_procedure_is_empty(self):
+        assert ReturnFunctionMap().functions_of("nowhere") == []
