@@ -265,12 +265,13 @@ class Engine:
                 self._disable_arena(stage or "dispatch")
         snapshot = list(self._returns_payload)
         args = make_args(snapshot)
-        # The counter the arena-equivalence tests pivot on: entries
-        # shipped through the pool's pickle channel. Arena waves ship
-        # zero.
-        self._count(
-            "engine_pickle_payload_entries", len(snapshot) * len(args)
-        )
+        if self._ensure_pool() is not None:
+            # The counter the arena-equivalence tests pivot on: entries
+            # shipped through the pool's pickle channel. Arena waves
+            # and inline waves ship zero.
+            self._count(
+                "engine_pickle_payload_entries", len(snapshot) * len(args)
+            )
         return self._dispatch(
             task, args, resilience=resilience, stage=stage
         )
