@@ -57,7 +57,8 @@ from benchmarks.conftest import emit_once
 from repro.config import AnalysisConfig
 from repro.engine import Engine
 from repro.engine.memo import clear_memos
-from repro.ipcp.driver import analyze_source
+from repro.ipcp.driver import analyze_file, analyze_source
+from repro.request import run_request
 from repro.suite.generator import GeneratorConfig, generate_program
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -177,7 +178,7 @@ def test_parallel_speedup(procedures, report, capfd):
     serial_seconds, (serial, cells) = timed(serial_run)
 
     def parallel_run():
-        with Engine(jobs=PARALLEL_JOBS, executor="process") as engine:
+        with Engine(jobs=PARALLEL_JOBS) as engine:
             return fingerprint(analyze_source(text, config, engine=engine))
 
     parallel_seconds, parallel = timed(parallel_run)
@@ -228,19 +229,21 @@ def test_cache_cold_vs_warm(procedures, report, tmp_path_factory, capfd):
     text = source_for(procedures)
     config = AnalysisConfig()
     cache_dir = str(tmp_path_factory.mktemp(f"cache{procedures}"))
+    path = os.path.join(cache_dir, "program.f")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
     def cold_run():
         with Engine(cache_dir=cache_dir) as engine:
-            result = analyze_source(text, config, engine=engine)
-            engine.record_run(text, config, result)
-            return fingerprint(result)
+            outcome = run_request("analyze", [path], config, engine)
+            return fingerprint(outcome.result)
 
     cold_seconds, cold = timed(cold_run)
 
     # Warm summary path: every per-procedure summary comes off disk.
     def warm_run():
         with Engine(cache_dir=cache_dir) as engine:
-            value = fingerprint(analyze_source(text, config, engine=engine))
+            value = fingerprint(analyze_file(path, config, engine=engine))
             return value, engine.cache.stats.hit_rate
 
     warm_seconds, (warm, hit_rate) = timed(warm_run)
@@ -250,9 +253,9 @@ def test_cache_cold_vs_warm(procedures, report, tmp_path_factory, capfd):
     # Warm run-level path: what `repro analyze --cache` replays.
     def replay_run():
         with Engine(cache_dir=cache_dir) as engine:
-            payload = engine.cached_run(text, config)
-            assert payload is not None, "clean run must have been recorded"
-            return payload["constants_report"]
+            outcome = run_request("analyze", [path], config, engine)
+            assert outcome.replayed, "clean run must have been recorded"
+            return outcome.constants_report
 
     replay_seconds, constants_report = timed(replay_run)
     assert constants_report == cold[0]
@@ -533,7 +536,7 @@ config = AnalysisConfig()
 start = time.perf_counter()
 if jobs > 1:
     from repro.engine import Engine
-    with Engine(jobs=jobs, executor="process") as engine:
+    with Engine(jobs=jobs) as engine:
         result = analyze_source(text, config, engine=engine)
 else:
     result = analyze_source(text, config)

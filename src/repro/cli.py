@@ -35,11 +35,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.config import AnalysisBudget, AnalysisConfig, BudgetExceeded, JumpFunctionKind
 from repro.frontend.errors import FrontendError
-from repro.ipcp.driver import analyze_file, analyze_file_resilient
+from repro.ipcp.driver import analyze_file
 from repro.ir.verify import VerificationError
 
 #: Exit codes (``analyze`` subcommand): 0 = clean analysis, 1 = source
@@ -103,145 +103,302 @@ _KIND_ALIASES = {
     "polynomial": JumpFunctionKind.POLYNOMIAL,
 }
 
-
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    """The analysis-configuration flags ``analyze`` and ``batch`` share
-    (everything :func:`_config_from_args` reads except the per-run
-    ``--strict``/``--verify-ir`` pair, which stays analyze-only)."""
-    parser.add_argument(
-        "--jump",
-        default="poly",
-        choices=sorted(_KIND_ALIASES),
-        help="forward jump function implementation (default: poly)",
-    )
-    parser.add_argument(
-        "--no-returns", action="store_true", help="disable return jump functions"
-    )
-    parser.add_argument(
-        "--no-mod", action="store_true", help="disable MOD side-effect information"
-    )
-    parser.add_argument(
-        "--complete",
-        action="store_true",
-        help="iterate propagation with dead-code elimination",
-    )
-    parser.add_argument(
-        "--intra-only",
-        action="store_true",
-        help="purely intraprocedural propagation (with MOD)",
-    )
-    parser.add_argument(
-        "--gsa",
-        action="store_true",
-        help="GSA-style refinement (complete-propagation results, no DCE)",
-    )
-    parser.add_argument(
-        "--solver-fuel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap interprocedural propagation at N procedure visits",
-    )
-    parser.add_argument(
-        "--sccp-fuel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap each SCCP run at N instruction evaluations",
-    )
-    parser.add_argument(
-        "--max-poly-terms",
-        type=int,
-        default=None,
-        metavar="N",
-        help="demote polynomial jump functions larger than N terms",
-    )
-    parser.add_argument(
-        "--solver",
-        default="fifo",
-        choices=("fifo", "lifo", "priority"),
-        help="interprocedural worklist discipline (default: fifo; the "
-        "fixpoint is identical, only the work differs)",
-    )
+#: The request-path subcommands and their one-line help, in the order
+#: ``--help`` lists them.
+_REQUEST_COMMANDS = {
+    "analyze": "analyze one program",
+    "link": "link many files into one whole program and analyze it",
+    "batch": "analyze many programs against one worker pool",
+    "optimize": "run the IPCP-driven optimization pipeline on one program",
+    "serve": "run the long-lived analysis daemon on a unix socket",
+}
+_RUN = ("analyze", "link", "batch", "optimize")
+_ALL = _RUN + ("serve",)
 
 
-def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="reuse procedure summaries across runs via the persistent "
-        "cache (default location; see --cache-dir)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent summary cache directory (implies --cache; "
-        "default: $REPRO_CACHE_DIR, $XDG_CACHE_HOME/repro, or "
-        "~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--profile",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="FILE",
-        help="emit per-stage timings and counters as JSON to FILE "
-        "(default: stdout)",
-    )
-    parser.add_argument(
-        "--explain-invalidation",
-        action="store_true",
-        help="with --cache: report which procedures were recomputed "
-        "since the previous run of each file, and why",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="record structured trace events and write Chrome "
-        "trace-event JSON to FILE (loadable in Perfetto / "
-        "chrome://tracing)",
-    )
-    parser.add_argument(
-        "--metrics",
-        default=None,
-        metavar="FILE",
-        help="write Prometheus text-format metrics to FILE "
-        "('-' = stdout)",
-    )
-    parser.add_argument(
-        "--log",
-        default=None,
-        metavar="FILE",
-        dest="log",
-        help="write a structured JSON-lines log to FILE ('-' = stderr); "
-        "every record carries the invocation's request_id/trace_id",
-    )
-    parser.add_argument(
-        "--log-level",
-        default="info",
-        choices=("debug", "info", "warn", "error"),
-        help="minimum severity for --log records (default: info)",
-    )
+class _Option(NamedTuple):
+    """One flag, declared once: its spellings, the subcommands that
+    take it, its ``add_argument`` keywords, and per-subcommand keyword
+    overrides (mostly help text)."""
+
+    flags: Tuple[str, ...]
+    commands: Tuple[str, ...]
+    kwargs: dict
+    overrides: dict
+
+    @property
+    def dest(self) -> str:
+        return self.kwargs.get("dest") or self.flags[-1].lstrip("-").replace("-", "_")
+
+    @property
+    def default(self):
+        if self.kwargs.get("action") == "store_true":
+            return False
+        return self.kwargs.get("default")
 
 
-def _add_optimize_arguments(parser: argparse.ArgumentParser) -> None:
-    """The optimization-backend flags ``analyze``/``link``/``batch``
-    share (``repro optimize`` spells them natively)."""
-    parser.add_argument(
-        "--optimize",
-        action="store_true",
-        help="run the IPCP-driven optimization pipeline on the analyzed "
-        "program and report per-pass changes",
-    )
-    parser.add_argument(
-        "--passes",
-        default=None,
-        metavar="LIST",
-        help="with --optimize: comma-separated pass subset "
-        "(fold,branches,unswitch,callargs; default: all)",
-    )
+def _opt(flags, commands, overrides=None, **kwargs) -> _Option:
+    if isinstance(flags, str):
+        flags = (flags,)
+    return _Option(tuple(flags), commands, kwargs, overrides or {})
+
+
+def _flag(flags, commands, help, overrides=None) -> _Option:
+    return _opt(flags, commands, overrides, action="store_true", help=help)
+
+
+_OPTIONS = (
+    _opt("file", ("analyze", "optimize"), help="MiniFortran source file"),
+    _opt("files", ("link", "batch"),
+         {"batch": dict(nargs="*", help="MiniFortran source files")},
+         nargs="+", metavar="FILE",
+         help="MiniFortran source files forming one program"),
+    _opt("--socket", ("serve",), required=True, metavar="PATH",
+         help="unix socket path to listen on"),
+    _flag("--stdin-list", ("batch",),
+          "read additional file paths from stdin, one per line "
+          "('#' lines are comments)"),
+    _opt("--entry", ("link", "batch"),
+         {"batch": dict(help="with --link: PROGRAM unit to use as the "
+                        "entry point")},
+         default=None, metavar="NAME",
+         help="PROGRAM unit to use as the entry point (required when "
+         "the files define more than one)"),
+    # The analysis configuration.
+    _opt("--jump", _ALL, default="poly", choices=sorted(_KIND_ALIASES),
+         help="forward jump function implementation (default: poly)"),
+    _flag("--no-returns", _ALL, "disable return jump functions"),
+    _flag("--no-mod", _ALL, "disable MOD side-effect information"),
+    _flag("--complete", _ALL,
+          "iterate propagation with dead-code elimination"),
+    _flag("--intra-only", _ALL,
+          "purely intraprocedural propagation (with MOD)"),
+    _flag("--gsa", _ALL,
+          "GSA-style refinement (complete-propagation results, no DCE)"),
+    _opt("--solver-fuel", _ALL, type=int, default=None, metavar="N",
+         help="cap interprocedural propagation at N procedure visits"),
+    _opt("--sccp-fuel", _ALL, type=int, default=None, metavar="N",
+         help="cap each SCCP run at N instruction evaluations"),
+    _opt("--max-poly-terms", _ALL, type=int, default=None, metavar="N",
+         help="demote polynomial jump functions larger than N terms"),
+    _opt("--solver", _ALL, default="fifo",
+         choices=("fifo", "lifo", "priority"),
+         help="interprocedural worklist discipline (default: fifo; the "
+         "fixpoint is identical, only the work differs)"),
+    # Renderings and run modes.
+    _flag("--transform", ("analyze",),
+          "print the source with constants substituted"),
+    _flag("--dump-ir", ("analyze", "link", "optimize"),
+          "print the SSA IR after analysis",
+          {"optimize": dict(help="print the optimized (post-SSA) IR")}),
+    _flag("--stats", ("analyze", "link"), "print analysis statistics"),
+    _opt("--explain", ("analyze", "link"),
+         {"link": dict(help="print the derivation tree of one VAL cell "
+                       "of the linked program")},
+         default=None, metavar="NAME@PROC",
+         help="print the derivation tree of one VAL cell: how the value "
+         "of NAME at PROC's entry was established (or which call-site "
+         "meet killed it)"),
+    _opt("--dot", ("analyze",), metavar="DIR", default=None,
+         help="write Graphviz files (call graph + one CFG per procedure)"),
+    _flag("--symbols", ("link",),
+          "print the program-level symbol table (unit -> defining "
+          "file, COMMON block -> first declaration)"),
+    _flag("--strict", ("analyze",),
+          "fail fast: no frontend recovery, no fault isolation, and "
+          "any component demotion is an error"),
+    _flag("--verify-ir", ("analyze", "optimize"),
+          "run the structural IR/SSA verifier between pipeline stages",
+          {"optimize": dict(help="run the structural IR verifier after "
+                            "every optimization pass (disables the "
+                            "warm-cache replay path)")}),
+    _flag("--report", ("batch",),
+          "print each file's full CONSTANTS report, not just the "
+          "one-line summary"),
+    _flag("--link", ("batch",),
+          "treat the files as one whole program (EXTERNAL/COMMON "
+          "linkage) instead of N independent closed programs"),
+    _flag("--optimize", ("analyze", "link", "batch"),
+          "run the IPCP-driven optimization pipeline on the analyzed "
+          "program and report per-pass changes"),
+    _opt("--passes", _RUN,
+         {"optimize": dict(help="comma-separated pass subset "
+                           "(fold,branches,unswitch,callargs; default: "
+                           "all)")},
+         default=None, metavar="LIST",
+         help="with --optimize: comma-separated pass subset "
+         "(fold,branches,unswitch,callargs; default: all)"),
+    _opt(("-o", "--output"), ("optimize",), default=None, metavar="FILE",
+         help="write the optimized IR text to FILE"),
+    # The engine, its caches, and the telemetry sinks.
+    _opt("--jobs", _ALL,
+         {"batch": dict(help="analyze files on N persistent pool workers "
+                        "(default: 1; per-file results are byte-identical "
+                        "at any N)"),
+          "serve": dict(help="engine worker pool size for each analysis "
+                        "(default: 1 = serial; results are "
+                        "byte-identical)")},
+         type=int, default=1, metavar="N",
+         help="generate procedure summaries on N parallel workers "
+         "(default: 1 = serial; results are byte-identical)"),
+    _flag("--cache", _RUN,
+          "reuse procedure summaries across runs via the persistent "
+          "cache (default location; see --cache-dir)"),
+    _opt("--cache-dir", _ALL,
+         {"serve": dict(help="persistent cache directory (default: the "
+                        "standard cache root — a daemon without its "
+                        "caches answers nothing warm)")},
+         default=None, metavar="DIR",
+         help="persistent summary cache directory (implies --cache; "
+         "default: $REPRO_CACHE_DIR, $XDG_CACHE_HOME/repro, or "
+         "~/.cache/repro)"),
+    _flag("--no-cache", ("serve",),
+          "run without the persistent cache (every analyze is cold)"),
+    _opt("--profile", _RUN, nargs="?", const="-", default=None,
+         metavar="FILE",
+         help="emit per-stage timings and counters as JSON to FILE "
+         "(default: stdout)"),
+    _flag("--explain-invalidation", _RUN,
+          "with --cache: report which procedures were recomputed "
+          "since the previous run of each file, and why"),
+    _opt("--trace", _ALL,
+         {"serve": dict(help="write Chrome trace-event JSON to FILE at "
+                        "drain")},
+         default=None, metavar="FILE",
+         help="record structured trace events and write Chrome "
+         "trace-event JSON to FILE (loadable in Perfetto / "
+         "chrome://tracing)"),
+    _opt("--metrics", _ALL,
+         {"serve": dict(help="write Prometheus text-format metrics to "
+                        "FILE at drain")},
+         default=None, metavar="FILE",
+         help="write Prometheus text-format metrics to FILE "
+         "('-' = stdout)"),
+    _opt("--log", _ALL,
+         {"serve": dict(help="write a structured JSON-lines request log "
+                        "to FILE ('-' = stderr); every record carries a "
+                        "request_id")},
+         default=None, metavar="FILE",
+         help="write a structured JSON-lines log to FILE ('-' = stderr); "
+         "every record carries the invocation's request_id/trace_id"),
+    _opt("--log-level", _ALL, default="info",
+         choices=("debug", "info", "warn", "error"),
+         help="minimum severity for --log records (default: info)"),
+    # The daemon's serving policy.
+    _opt("--queue-limit", ("serve",), type=int, default=16, metavar="N",
+         help="bounded request queue depth; beyond it requests are shed "
+         "with an 'overloaded' error and a retry_after hint (default: 16)"),
+    _opt("--deadline", ("serve",), type=float, default=30.0,
+         metavar="SECONDS",
+         help="default per-request deadline; requests may override via "
+         "params.deadline_ms; 0 = unlimited (default: 30)"),
+    _opt("--drain-timeout", ("serve",), type=float, default=5.0,
+         metavar="SECONDS",
+         help="grace period for queued/in-flight work after SIGTERM/"
+         "SIGINT/shutdown before the rest is cancelled (default: 5)"),
+    _opt("--slow-request", ("serve",), type=float, default=None,
+         metavar="SECONDS",
+         help="log a 'request.slow' record (stage timings + cache "
+         "profile) for any request slower than SECONDS end to end"),
+    _opt("--obs-window", ("serve",), type=int, default=256, metavar="N",
+         help="per-request ring buffer capacity behind 'repro top' and "
+         "the 'obs' protocol op (default: 256)"),
+    _opt("--inject-fault", ("serve",), action="append", default=[],
+         metavar="SPEC",
+         help="arm a deterministic fault (repeatable), e.g. "
+         "'kill-worker:stage=ret,nth=1' or 'delay-request:ms=200'; "
+         "see repro.faults for the registry"),
+)
+
+
+class RunConfig:
+    """Every setting of one request-path invocation.
+
+    Each attribute starts at its option's default, so code that reads
+    a flag another subcommand does not declare sees the default rather
+    than a missing attribute; :meth:`set_from_args` overlays what the
+    parsed subcommand declared. The builders below turn the settings
+    into an :class:`AnalysisConfig`, an engine, and a ``ServeConfig``.
+    """
+
+    def __init__(self):
+        self.command: Optional[str] = None
+        for option in _OPTIONS:
+            setattr(self, option.dest, option.default)
+
+    def set_from_args(self, args: argparse.Namespace) -> "RunConfig":
+        for key, value in vars(args).items():
+            setattr(self, key, value)
+        return self
+
+    def analysis_config(self) -> AnalysisConfig:
+        if self.intra_only:
+            config = AnalysisConfig.intraprocedural_only()
+        else:
+            config = AnalysisConfig(
+                jump_function=_KIND_ALIASES[self.jump],
+                use_return_functions=not self.no_returns,
+                use_mod=not self.no_mod,
+                complete=self.complete,
+                gsa_refinement=self.gsa,
+            )
+        budget = AnalysisBudget(
+            solver_visits=self.solver_fuel,
+            sccp_visits=self.sccp_fuel,
+            polynomial_terms=self.max_poly_terms,
+        )
+        return replace(
+            config,
+            budget=budget,
+            solver_strategy=self.solver,
+            fault_isolation=not self.strict,
+            verify_ir=self.verify_ir,
+        )
+
+    def cache_dir_or_none(self) -> Optional[str]:
+        """The summary cache directory when any cache flag asks for
+        one (``--cache``, ``--cache-dir``, ``--explain-invalidation``)."""
+        if not (self.cache or self.cache_dir is not None
+                or self.explain_invalidation):
+            return None
+        from repro.engine import default_cache_root
+
+        return self.cache_dir or default_cache_root()
+
+    def engine(self):
+        """An :class:`repro.engine.Engine` when any engine feature is
+        requested; None (the plain serial pipeline) otherwise."""
+        cache_dir = self.cache_dir_or_none()
+        if self.jobs <= 1 and cache_dir is None and self.profile is None:
+            return None
+        from repro.engine import Engine
+        from repro.profiling import PipelineProfile
+
+        profile = PipelineProfile() if self.profile is not None else None
+        return Engine(jobs=self.jobs, cache_dir=cache_dir, profile=profile)
+
+    def serve_config(self):
+        from repro.engine import default_cache_root
+        from repro.serve.server import ServeConfig
+
+        return ServeConfig(
+            socket_path=self.socket,
+            analysis=self.analysis_config(),
+            jobs=self.jobs,
+            cache_dir=(
+                None if self.no_cache
+                else (self.cache_dir or default_cache_root())
+            ),
+            queue_limit=self.queue_limit,
+            default_deadline_s=self.deadline if self.deadline > 0 else None,
+            drain_timeout_s=self.drain_timeout,
+            metrics_path=self.metrics,
+            trace_path=self.trace,
+            log_path=self.log,
+            log_level=self.log_level,
+            slow_request_s=self.slow_request,
+            obs_window=self.obs_window,
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,274 +408,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="analyze one program")
-    analyze.add_argument("file", help="MiniFortran source file")
-    _add_config_arguments(analyze)
-    analyze.add_argument(
-        "--transform",
-        action="store_true",
-        help="print the source with constants substituted",
-    )
-    analyze.add_argument(
-        "--dump-ir", action="store_true", help="print the SSA IR after analysis"
-    )
-    analyze.add_argument(
-        "--stats", action="store_true", help="print analysis statistics"
-    )
-    analyze.add_argument(
-        "--explain",
-        default=None,
-        metavar="NAME@PROC",
-        help="print the derivation tree of one VAL cell: how the value "
-        "of NAME at PROC's entry was established (or which call-site "
-        "meet killed it)",
-    )
-    analyze.add_argument(
-        "--dot",
-        metavar="DIR",
-        default=None,
-        help="write Graphviz files (call graph + one CFG per procedure)",
-    )
-    analyze.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail fast: no frontend recovery, no fault isolation, and "
-        "any component demotion is an error",
-    )
-    analyze.add_argument(
-        "--verify-ir",
-        action="store_true",
-        help="run the structural IR/SSA verifier between pipeline stages",
-    )
-    _add_optimize_arguments(analyze)
-    analyze.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="generate procedure summaries on N parallel workers "
-        "(default: 1 = serial; results are byte-identical)",
-    )
-    analyze.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="with --jobs N: exchange summaries over the worker pool's "
-        "pickle channel instead of the shared-memory arena (results "
-        "are byte-identical either way)",
-    )
-    _add_cache_arguments(analyze)
-
-    link = sub.add_parser(
-        "link",
-        help="link many files into one whole program and analyze it",
-    )
-    link.add_argument(
-        "files", nargs="+", metavar="FILE",
-        help="MiniFortran source files forming one program",
-    )
-    link.add_argument(
-        "--entry", default=None, metavar="NAME",
-        help="PROGRAM unit to use as the entry point (required when "
-        "the files define more than one)",
-    )
-    _add_config_arguments(link)
-    link.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="generate procedure summaries on N parallel workers "
-        "(default: 1 = serial; results are byte-identical)",
-    )
-    link.add_argument(
-        "--no-arena", action="store_true",
-        help="with --jobs N: exchange summaries over the worker pool's "
-        "pickle channel instead of the shared-memory arena (results "
-        "are byte-identical either way)",
-    )
-    _add_cache_arguments(link)
-    link.add_argument(
-        "--symbols", action="store_true",
-        help="print the program-level symbol table (unit -> defining "
-        "file, COMMON block -> first declaration)",
-    )
-    link.add_argument(
-        "--explain", default=None, metavar="NAME@PROC",
-        help="print the derivation tree of one VAL cell of the linked "
-        "program",
-    )
-    link.add_argument(
-        "--stats", action="store_true", help="print analysis statistics"
-    )
-    link.add_argument(
-        "--dump-ir", action="store_true",
-        help="print the SSA IR after analysis",
-    )
-    _add_optimize_arguments(link)
-
-    batch = sub.add_parser(
-        "batch", help="analyze many programs against one worker pool"
-    )
-    batch.add_argument(
-        "files", nargs="*", metavar="FILE",
-        help="MiniFortran source files",
-    )
-    batch.add_argument(
-        "--stdin-list",
-        action="store_true",
-        help="read additional file paths from stdin, one per line "
-        "('#' lines are comments)",
-    )
-    _add_config_arguments(batch)
-    batch.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze files on N persistent pool workers (default: 1; "
-        "per-file results are byte-identical at any N)",
-    )
-    _add_cache_arguments(batch)
-    batch.add_argument(
-        "--report",
-        action="store_true",
-        help="print each file's full CONSTANTS report, not just the "
-        "one-line summary",
-    )
-    batch.add_argument(
-        "--link",
-        action="store_true",
-        help="treat the files as one whole program (EXTERNAL/COMMON "
-        "linkage) instead of N independent closed programs",
-    )
-    batch.add_argument(
-        "--entry", default=None, metavar="NAME",
-        help="with --link: PROGRAM unit to use as the entry point",
-    )
-    _add_optimize_arguments(batch)
-
-    optimize = sub.add_parser(
-        "optimize",
-        help="run the IPCP-driven optimization pipeline on one program",
-    )
-    optimize.add_argument("file", help="MiniFortran source file")
-    _add_config_arguments(optimize)
-    optimize.add_argument(
-        "--passes",
-        default=None,
-        metavar="LIST",
-        help="comma-separated pass subset "
-        "(fold,branches,unswitch,callargs; default: all)",
-    )
-    optimize.add_argument(
-        "--dump-ir",
-        action="store_true",
-        help="print the optimized (post-SSA) IR",
-    )
-    optimize.add_argument(
-        "-o", "--output",
-        default=None,
-        metavar="FILE",
-        help="write the optimized IR text to FILE",
-    )
-    optimize.add_argument(
-        "--verify-ir",
-        action="store_true",
-        help="run the structural IR verifier after every optimization "
-        "pass (disables the warm-cache replay path)",
-    )
-    optimize.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="generate procedure summaries on N parallel workers "
-        "(default: 1 = serial; results are byte-identical)",
-    )
-    optimize.add_argument(
-        "--no-arena",
-        action="store_true",
-        help="with --jobs N: exchange summaries over the worker pool's "
-        "pickle channel instead of the shared-memory arena (results "
-        "are byte-identical either way)",
-    )
-    _add_cache_arguments(optimize)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the long-lived analysis daemon on a unix socket",
-    )
-    serve.add_argument(
-        "--socket", required=True, metavar="PATH",
-        help="unix socket path to listen on",
-    )
-    _add_config_arguments(serve)
-    serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="engine worker pool size for each analysis "
-        "(default: 1 = serial; results are byte-identical)",
-    )
-    serve.add_argument(
-        "--no-arena", action="store_true",
-        help="with --jobs N: exchange summaries over the worker pool's "
-        "pickle channel instead of the shared-memory arena (results "
-        "are byte-identical either way)",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persistent cache directory (default: the standard cache "
-        "root — a daemon without its caches answers nothing warm)",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="run without the persistent cache (every analyze is cold)",
-    )
-    serve.add_argument(
-        "--queue-limit", type=int, default=16, metavar="N",
-        help="bounded request queue depth; beyond it requests are shed "
-        "with an 'overloaded' error and a retry_after hint (default: 16)",
-    )
-    serve.add_argument(
-        "--deadline", type=float, default=30.0, metavar="SECONDS",
-        help="default per-request deadline; requests may override via "
-        "params.deadline_ms; 0 = unlimited (default: 30)",
-    )
-    serve.add_argument(
-        "--drain-timeout", type=float, default=5.0, metavar="SECONDS",
-        help="grace period for queued/in-flight work after SIGTERM/"
-        "SIGINT/shutdown before the rest is cancelled (default: 5)",
-    )
-    serve.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="write Prometheus text-format metrics to FILE at drain",
-    )
-    serve.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write Chrome trace-event JSON to FILE at drain",
-    )
-    serve.add_argument(
-        "--log", default=None, metavar="FILE",
-        help="write a structured JSON-lines request log to FILE "
-        "('-' = stderr); every record carries a request_id",
-    )
-    serve.add_argument(
-        "--log-level", default="info",
-        choices=("debug", "info", "warn", "error"),
-        help="minimum severity for --log records (default: info)",
-    )
-    serve.add_argument(
-        "--slow-request", type=float, default=None, metavar="SECONDS",
-        help="log a 'request.slow' record (stage timings + cache "
-        "profile) for any request slower than SECONDS end to end",
-    )
-    serve.add_argument(
-        "--obs-window", type=int, default=256, metavar="N",
-        help="per-request ring buffer capacity behind 'repro top' and "
-        "the 'obs' protocol op (default: 256)",
-    )
-    serve.add_argument(
-        "--inject-fault", action="append", default=[], metavar="SPEC",
-        help="arm a deterministic fault (repeatable), e.g. "
-        "'kill-worker:stage=ret,nth=1' or 'delay-request:ms=200'; "
-        "see repro.faults for the registry",
-    )
+    for command, summary in _REQUEST_COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary)
+        for option in _OPTIONS:
+            if command in option.commands:
+                subparser.add_argument(
+                    *option.flags,
+                    **dict(option.kwargs, **option.overrides.get(command, {})),
+                )
 
     client = sub.add_parser(
         "client", help="query a running 'repro serve' daemon"
@@ -715,55 +612,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
-    if args.intra_only:
-        config = AnalysisConfig.intraprocedural_only()
-    else:
-        config = AnalysisConfig(
-            jump_function=_KIND_ALIASES[args.jump],
-            use_return_functions=not args.no_returns,
-            use_mod=not args.no_mod,
-            complete=args.complete,
-            gsa_refinement=args.gsa,
-        )
-    budget = AnalysisBudget(
-        solver_visits=args.solver_fuel,
-        sccp_visits=args.sccp_fuel,
-        polynomial_terms=args.max_poly_terms,
-    )
-    return replace(
-        config,
-        budget=budget,
-        solver_strategy=getattr(args, "solver", "fifo"),
-        fault_isolation=not getattr(args, "strict", False),
-        verify_ir=getattr(args, "verify_ir", False),
-    )
-
-
-def _engine_from_args(args: argparse.Namespace):
-    """Build an :class:`repro.engine.Engine` when any engine feature is
-    requested; plain serial analysis (None) otherwise, so the default
-    CLI path stays exactly the pre-engine pipeline."""
-    wants_cache = (
-        args.cache
-        or args.cache_dir is not None
-        or getattr(args, "explain_invalidation", False)
-    )
-    if args.jobs <= 1 and not wants_cache and args.profile is None:
-        return None
-    from repro.engine import Engine, default_cache_root
-    from repro.profiling import PipelineProfile
-
-    cache_dir = None
-    if wants_cache:
-        cache_dir = args.cache_dir or default_cache_root()
-    profile = PipelineProfile() if args.profile is not None else None
-    arena = False if getattr(args, "no_arena", False) else None
-    return Engine(
-        jobs=args.jobs, cache_dir=cache_dir, profile=profile, arena=arena
-    )
-
-
 def _render_substitution_counts(per_procedure) -> None:
     for name in sorted(per_procedure):
         count = per_procedure[name]
@@ -776,7 +624,11 @@ def _emit_profile(engine, destination: str) -> None:
     from repro import profiling
 
     engine.profile.merge_counters(profiling.global_counters())
-    text = engine.profile.to_json()
+    _write_profile(engine.profile.to_json(), destination)
+
+
+def _write_profile(text: str, destination: str) -> None:
+    """``--profile``: JSON to stdout (``-``) or to a file."""
     if destination == "-":
         print("\n--- profile ---")
         print(text)
@@ -786,16 +638,16 @@ def _emit_profile(engine, destination: str) -> None:
         print(f"[profile written to {destination}]")
 
 
-def _start_trace(args: argparse.Namespace):
+def _start_trace(run: RunConfig):
     """Install the process tracer when ``--trace`` was given."""
-    if getattr(args, "trace", None) is None:
+    if run.trace is None:
         return None
     from repro.obs import trace
 
     return trace.enable()
 
 
-def _write_trace(args: argparse.Namespace, tracer) -> None:
+def _write_trace(run: RunConfig, tracer) -> None:
     if tracer is None:
         return
     import json
@@ -804,31 +656,31 @@ def _write_trace(args: argparse.Namespace, tracer) -> None:
 
     trace.disable()
     payload = tracer.to_chrome()
-    with open(args.trace, "w", encoding="utf-8") as handle:
+    with open(run.trace, "w", encoding="utf-8") as handle:
         json.dump(payload, handle)
         handle.write("\n")
     print(
-        f"[trace written to {args.trace} "
+        f"[trace written to {run.trace} "
         f"({len(payload['traceEvents'])} events)]",
         file=sys.stderr,
     )
 
 
-def _write_metrics(args: argparse.Namespace, registry=None) -> None:
-    if getattr(args, "metrics", None) is None:
+def _write_metrics(run: RunConfig, registry=None) -> None:
+    if run.metrics is None:
         return
     from repro.obs import metrics
 
     text = (registry or metrics.default_registry()).to_prometheus()
-    if args.metrics == "-":
+    if run.metrics == "-":
         sys.stdout.write(text)
     else:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
+        with open(run.metrics, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(f"[metrics written to {args.metrics}]", file=sys.stderr)
+        print(f"[metrics written to {run.metrics}]", file=sys.stderr)
 
 
-def _start_obs(args: argparse.Namespace, command: str):
+def _start_obs(run: RunConfig, command: str):
     """Begin request-scoped telemetry for one CLI invocation: enable
     ``--log`` if given, and install a ``cli-<command>`` correlation
     context whenever any telemetry sink (log or trace) is active, so
@@ -838,13 +690,11 @@ def _start_obs(args: argparse.Namespace, command: str):
     """
     logger = None
     context = None
-    if getattr(args, "log", None) is not None:
+    if run.log is not None:
         from repro.obs import log as obs_log
 
-        logger = obs_log.enable(
-            args.log, level=getattr(args, "log_level", "info")
-        )
-    if logger is not None or getattr(args, "trace", None) is not None:
+        logger = obs_log.enable(run.log, level=run.log_level)
+    if logger is not None or run.trace is not None:
         from repro.obs import context as obs_context
 
         context = obs_context.RequestContext(f"cli-{command}")
@@ -871,16 +721,16 @@ def _flow_root(context, **attrs) -> None:
         )
 
 
-def _finish_obs(args: argparse.Namespace, logger, context,
+def _finish_obs(run: RunConfig, logger, context,
                 exit_code=None) -> None:
     if logger is not None:
         from repro.obs import log as obs_log
 
         obs_log.info("cli.end", exit_code=exit_code)
         obs_log.disable()
-        if args.log != "-":
+        if run.log != "-":
             print(
-                f"[log written to {args.log} "
+                f"[log written to {run.log} "
                 f"({logger.records_written} records)]",
                 file=sys.stderr,
             )
@@ -891,352 +741,181 @@ def _finish_obs(args: argparse.Namespace, logger, context,
             obs_context.clear()
 
 
-def _print_explain(provenance, query: str) -> int:
-    """Render one ``--explain`` section; EXIT_OK or EXIT_DIAGNOSTICS
-    (unknown/malformed cell query)."""
-    print(f"\n--- explain {query} ---")
-    try:
-        sys.stdout.write(provenance.explain(query))
-    except ValueError as err:
-        print(f"explain: {err}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    return EXIT_OK
+def _cmd_request(run: RunConfig) -> int:
+    """``analyze``, ``link``, ``optimize`` and ``batch --link``: one
+    :func:`repro.request.run_request` call between the engine and
+    telemetry set-up and teardown, then one rendering."""
+    from repro.obs import trace
+    from repro.request import Wants, run_request
 
-
-def _payload_serves(payload: dict, args: argparse.Namespace) -> bool:
-    """Whether a cached run payload carries every rendering this
-    invocation needs. Payloads record ``stats``/``ir`` as None when
-    their rendering failed at store time; such runs fall through to a
-    live analysis rather than silently dropping a section."""
-    if args.dump_ir and payload.get("ir") is None:
-        return False
-    if args.stats and payload.get("stats") is None:
-        return False
-    if getattr(args, "explain", None):
-        from repro.obs.provenance import ConstantProvenance
-
-        if ConstantProvenance.from_payload(payload.get("provenance")) is None:
-            return False
-    return True
-
-
-def _replay_cached_run(payload: dict, args: argparse.Namespace, engine) -> int:
-    """Render a cached whole-run outcome — only clean runs are ever
-    recorded, so this is always a diagnostics-free EXIT_OK replay.
-    Sections print in the live path's order (transform, IR, stats)."""
-    print(f"configuration: {payload['config']}")
-    print(payload["constants_report"])
-    print(f"substituted constant references: {payload['substituted']}")
-    _render_substitution_counts(payload["per_procedure"])
-    exit_code = EXIT_OK
-    if getattr(args, "explain", None):
-        from repro.obs.provenance import ConstantProvenance
-
-        provenance = ConstantProvenance.from_payload(payload["provenance"])
-        exit_code = _print_explain(provenance, args.explain)
-    if args.transform and payload.get("transformed_source") is not None:
-        print("\n--- transformed source ---")
-        print(payload["transformed_source"])
-    if args.dump_ir:
-        print("\n--- SSA IR ---")
-        print(payload["ir"])
-    if args.stats:
-        print("\n--- statistics ---")
-        print(payload["stats"])
-    if args.explain_invalidation:
-        print("\n--- invalidation ---")
-        print(engine.replayed_report(args.file).format())
-    return exit_code
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    engine = _engine_from_args(args)
-    tracer = _start_trace(args)
-    logger, context = _start_obs(args, "analyze")
+    kind = "link" if run.command == "batch" else run.command
+    paths = run.files if kind == "link" else [run.file]
+    config = run.analysis_config()
+    engine = run.engine()
+    tracer = _start_trace(run)
+    logger, context = _start_obs(run, kind)
     code: Optional[int] = None
     try:
-        from repro.obs import trace
-
-        with trace.span("analyze", file=args.file,
+        if kind == "link":
+            span_attrs = flow_attrs = {"files": len(paths)}
+        else:
+            span_attrs, flow_attrs = {"file": run.file}, {"path": run.file}
+        with trace.span(kind, **span_attrs,
                         request_id=context.request_id if context else None):
-            _flow_root(context, op="analyze", path=args.file)
-            code = _run_analyze(args, config, engine)
+            _flow_root(context, op=kind, **flow_attrs)
+            passes = None
+            if run.optimize or kind == "optimize":
+                from repro.opt import parse_passes
+
+                try:
+                    passes = parse_passes(run.passes)
+                except ValueError as err:
+                    print(f"optimize: {err}", file=sys.stderr)
+                    code = EXIT_DIAGNOSTICS
+                    return code
+            # Modes that need the live program (dot files), strict mode,
+            # the IR verifier, and analyze/link's optimization neither
+            # replay from nor record into the run cache.
+            wants = Wants(
+                passes=passes, explain=run.explain or None, stats=run.stats,
+                ir=run.dump_ir, strict=run.strict, entry=run.entry,
+                cacheable=not (
+                    run.dot or run.strict or run.verify_ir
+                    or (passes is not None and kind != "optimize")
+                ),
+            )
+            outcome = run_request(kind, paths, config, engine, wants)
+            code = _render_request(kind, run, outcome)
             return code
     finally:
         if engine is not None:
             if engine.profile is not None:
-                _emit_profile(engine, args.profile)
+                _emit_profile(engine, run.profile)
             engine.close()
-        _write_trace(args, tracer)
-        _write_metrics(args)
-        _finish_obs(args, logger, context, exit_code=code)
+        _write_trace(run, tracer)
+        _write_metrics(run)
+        _finish_obs(run, logger, context, exit_code=code)
 
 
-def _run_analyze(args: argparse.Namespace, config, engine) -> int:
-    # Whole-run fast path: an unchanged (source, config) pair whose
-    # previous run was clean replays its recorded output without
-    # parsing — including the --stats and --dump-ir renderings, which
-    # the payload carries. Modes that need the live program object
-    # (dot files), strict mode, and the IR verifier bypass it.
-    opt_passes = None
-    if getattr(args, "optimize", False):
-        from repro.opt import parse_passes
+def _render_request(kind: str, run: RunConfig, outcome) -> int:
+    """Print one request outcome; live and replayed outcomes render
+    byte-identically. Returns the exit code."""
+    from repro.diagnostics import E_IO
+    from repro.request import OK
 
-        try:
-            opt_passes = parse_passes(args.passes)
-        except ValueError as err:
-            print(f"optimize: {err}", file=sys.stderr)
-            return EXIT_DIAGNOSTICS
-    replayable = not (
-        args.dot or args.strict or args.verify_ir or opt_passes is not None
-    )
-    text = None
-    if engine is not None and engine.cache is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError):
-            text = None  # let the normal path produce the located error
-        if text is not None and replayable:
-            payload = engine.cached_run(text, config)
-            if payload is not None and _payload_serves(payload, args):
-                return _replay_cached_run(payload, args, engine)
-
-    if args.strict:
-        result = analyze_file(args.file, config, engine=engine)
-        diagnostics = None
+    if outcome.io_error is not None:
+        # Unreadable input: reported the way the analysis front end
+        # reports it (a located E_IO diagnostic), or, when linking or
+        # strict, as a plain located error.
+        where, message = outcome.io_error
+        code = "" if kind == "link" or run.strict else f"[{E_IO}]"
+        print(f"{where}: error{code}: {message}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
+    if outcome.diagnostics:
+        print(outcome.diagnostics, file=sys.stderr)
+    if outcome.status != OK:
+        return EXIT_INTERNAL if outcome.link_failed else EXIT_DIAGNOSTICS
+    result, payload = outcome.result, outcome.payload
+    print(f"configuration: {outcome.config}")
+    code = EXIT_OK
+    if kind == "optimize":
+        print(outcome.opt_report)
+        if run.dump_ir:
+            print("\n--- optimized IR ---")
+            print(outcome.opt_ir)
+        if run.output:
+            with open(run.output, "w", encoding="utf-8") as handle:
+                handle.write(outcome.opt_ir + "\n")
+            print(f"[optimized IR written to {run.output}]")
     else:
-        result, diagnostics = analyze_file_resilient(
-            args.file, config, engine=engine
-        )
-        if len(diagnostics):
-            print(diagnostics.format(), file=sys.stderr)
-        if result is None:
-            return EXIT_DIAGNOSTICS
-    print(f"configuration: {config.describe()}")
-    print(result.constants.format_report())
-    print(f"substituted constant references: {result.substituted_constants}")
-    _render_substitution_counts(result.substitution.per_procedure)
-    provenance = None
-    if getattr(args, "explain", None):
-        from repro.obs.provenance import build_provenance
+        if kind == "link" and result is not None:
+            print(f"linked {len(run.files)} file(s) -> "
+                  f"{sum(1 for _ in result.program)} procedure(s)")
+            if run.symbols:
+                print("\n--- symbol table ---")
+                print(outcome.link.format_symbol_table())
+        print(outcome.constants_report)
+        print(f"substituted constant references: {outcome.substituted}")
+        _render_substitution_counts(outcome.per_procedure)
+        if outcome.opt_report is not None:
+            print(outcome.opt_report)
+        if run.explain:
+            print(f"\n--- explain {run.explain} ---")
+            if outcome.explain_error is not None:
+                print(f"explain: {outcome.explain_error}", file=sys.stderr)
+                code = EXIT_DIAGNOSTICS
+            else:
+                sys.stdout.write(outcome.explain)
+        if run.transform:
+            text = (
+                payload.get("transformed_source") if outcome.replayed
+                else result.transformed_source()
+            )
+            if text is not None:
+                print("\n--- transformed source ---")
+                print(text)
+        if run.dump_ir:
+            from repro.ir.printer import format_program
 
-        provenance = build_provenance(result)
-    opt_report = None
-    if opt_passes is not None:
-        from repro.opt import optimize_result
+            header = "SSA IR" if outcome.opt_report is None else "optimized IR"
+            print(f"\n--- {header} ---")
+            print(payload["ir"] if outcome.replayed
+                  else format_program(result.program))
+        if run.stats:
+            from repro.ipcp.stats import collect_statistics
 
-        opt_report = optimize_result(
-            result, opt_passes, verify=args.verify_ir
-        )
-        print(opt_report.render())
-        if provenance is not None:
-            provenance.annotate_used_by(opt_report.used_by)
-    explain_code = EXIT_OK
-    if provenance is not None:
-        explain_code = _print_explain(provenance, args.explain)
-    if args.transform:
-        print("\n--- transformed source ---")
-        print(result.transformed_source())
-    if args.dump_ir:
-        from repro.ir.printer import format_program
+            print("\n--- statistics ---")
+            print(payload["stats"] if outcome.replayed
+                  else collect_statistics(result).format())
+        if run.dot:
+            from repro.ir.dot import write_dot_files
 
-        header = "optimized IR" if opt_report is not None else "SSA IR"
-        print(f"\n--- {header} ---")
-        print(format_program(result.program))
-    if args.stats:
-        from repro.ipcp.stats import collect_statistics
+            written = write_dot_files(
+                result.program, result.callgraph, run.dot, result.constants
+            )
+            print(f"[{len(written)} Graphviz files written to {run.dot}]")
+        if run.explain_invalidation and outcome.invalidation is not None:
+            from repro.engine.incremental import format_invalidation
 
-        print("\n--- statistics ---")
-        print(collect_statistics(result).format())
-    if args.dot:
-        from repro.ir.dot import write_dot_files
-
-        paths = write_dot_files(
-            result.program, result.callgraph, args.dot, result.constants
-        )
-        print(f"[{len(paths)} Graphviz files written to {args.dot}]")
-    if engine is not None and text is not None and replayable:
-        engine.record_run(text, config, result)
-    if engine is not None and engine.cache is not None:
-        report = engine.finish_incremental(args.file)
-        if report is not None and args.explain_invalidation:
             print("\n--- invalidation ---")
-            print(report.format())
-    if not result.resilience.ok:
+            print(format_invalidation(outcome.invalidation))
+    if result is not None and not result.resilience.ok:
         print("\n--- degraded components ---", file=sys.stderr)
         print(result.resilience.summary(), file=sys.stderr)
-        if args.strict:
+        if run.strict:
             return EXIT_INTERNAL
-    if diagnostics is not None and diagnostics.has_errors:
+    if outcome.has_errors:
         return EXIT_DIAGNOSTICS
-    return explain_code
+    return code
 
 
-def _cmd_link(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    engine = _engine_from_args(args)
-    tracer = _start_trace(args)
-    logger, context = _start_obs(args, "link")
-    code: Optional[int] = None
-    try:
-        from repro.obs import trace
-
-        with trace.span("link", files=len(args.files),
-                        request_id=context.request_id if context else None):
-            _flow_root(context, op="link", files=len(args.files))
-            code = _run_link(args, config, engine)
-            return code
-    finally:
-        if engine is not None:
-            if engine.profile is not None:
-                _emit_profile(engine, args.profile)
-            engine.close()
-        _write_trace(args, tracer)
-        _write_metrics(args)
-        _finish_obs(args, logger, context, exit_code=code)
-
-
-def _run_link(args: argparse.Namespace, config, engine) -> int:
-    from repro.diagnostics import E_LINK
-    from repro.linkage import (
-        analyze_linked_sources,
-        project_bundle_text,
-        project_label,
-    )
-
-    named = []
-    for path in args.files:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                named.append((path, handle.read()))
-        except (OSError, UnicodeDecodeError) as err:
-            from repro.ipcp.driver import _located_io_error
-
-            located = _located_io_error(path, err)
-            print(f"{located.location}: error: {located.message}",
-                  file=sys.stderr)
-            return EXIT_DIAGNOSTICS
-
-    bundle = project_bundle_text(named, args.entry)
-    label = project_label(args.files, args.entry)
-    # The replay/invalidation helpers address runs by one path; a
-    # linked project's stable stand-in is its manifest label.
-    args.file = label
-    args.transform = False
-
-    opt_passes = None
-    if getattr(args, "optimize", False):
-        from repro.opt import parse_passes
-
-        try:
-            opt_passes = parse_passes(getattr(args, "passes", None))
-        except ValueError as err:
-            print(f"optimize: {err}", file=sys.stderr)
-            return EXIT_DIAGNOSTICS
-
-    if (engine is not None and engine.cache is not None
-            and opt_passes is None):
-        payload = engine.cached_run(bundle, config)
-        if payload is not None and _payload_serves(payload, args):
-            return _replay_cached_run(payload, args, engine)
-
-    result, link = analyze_linked_sources(
-        named, config, entry=args.entry, engine=engine
-    )
-    if len(link.diagnostics):
-        print(link.diagnostics.format(), file=sys.stderr)
-    if result is None:
-        link_failed = any(
-            d.code in (E_LINK,) for d in link.diagnostics.errors()
-        )
-        return EXIT_INTERNAL if link_failed else EXIT_DIAGNOSTICS
-    print(f"configuration: {config.describe()}")
-    print(f"linked {len(args.files)} file(s) -> "
-          f"{sum(1 for _ in result.program)} procedure(s)")
-    if getattr(args, "symbols", False):
-        print("\n--- symbol table ---")
-        print(link.format_symbol_table())
-    print(result.constants.format_report())
-    print(f"substituted constant references: {result.substituted_constants}")
-    _render_substitution_counts(result.substitution.per_procedure)
-    provenance = None
-    if getattr(args, "explain", None):
-        from repro.obs.provenance import build_provenance
-
-        provenance = build_provenance(result)
-    opt_report = None
-    if opt_passes is not None:
-        from repro.opt import optimize_result
-
-        opt_report = optimize_result(
-            result, opt_passes, verify=getattr(args, "verify_ir", False)
-        )
-        print(opt_report.render())
-        if provenance is not None:
-            provenance.annotate_used_by(opt_report.used_by)
-    explain_code = EXIT_OK
-    if provenance is not None:
-        explain_code = _print_explain(provenance, args.explain)
-    if getattr(args, "dump_ir", False):
-        from repro.ir.printer import format_program
-
-        header = "optimized IR" if opt_report is not None else "SSA IR"
-        print(f"\n--- {header} ---")
-        print(format_program(result.program))
-    if getattr(args, "stats", False):
-        from repro.ipcp.stats import collect_statistics
-
-        print("\n--- statistics ---")
-        print(collect_statistics(result).format())
-    if engine is not None and opt_passes is None:
-        engine.record_run(bundle, config, result)
-    if engine is not None and engine.cache is not None:
-        report = engine.finish_incremental(label)
-        if report is not None and args.explain_invalidation:
-            print("\n--- invalidation ---")
-            print(report.format())
-    if not result.resilience.ok:
-        print("\n--- degraded components ---", file=sys.stderr)
-        print(result.resilience.summary(), file=sys.stderr)
-    if link.diagnostics.has_errors:
-        return EXIT_DIAGNOSTICS
-    return explain_code
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
+def _cmd_batch(run: RunConfig) -> int:
     import json
 
-    from repro.engine import default_cache_root
     from repro.engine.batch import read_stdin_list, run_batch
     from repro.engine.incremental import format_invalidation
 
-    config = _config_from_args(args)
     opt_passes = None
-    if getattr(args, "optimize", False) and not getattr(args, "link", False):
+    if run.optimize and not run.link:
         from repro.opt import parse_passes
 
         try:
-            opt_passes = parse_passes(args.passes)
+            opt_passes = parse_passes(run.passes)
         except ValueError as err:
             print(f"optimize: {err}", file=sys.stderr)
             return EXIT_DIAGNOSTICS
-    paths = list(args.files)
-    if args.stdin_list:
+    paths = list(run.files)
+    if run.stdin_list:
         paths.extend(read_stdin_list(sys.stdin))
     if not paths:
         print("batch: no input files", file=sys.stderr)
         return EXIT_DIAGNOSTICS
-    if getattr(args, "link", False):
+    if run.link:
         # Whole-program mode: the file set is one linked program, not
-        # N independent ones. Reuse the link pipeline (same flags,
-        # same exit-code contract: 2 on link failure).
-        args.files = paths
-        for missing in ("symbols", "explain", "stats", "dump_ir"):
-            if not hasattr(args, missing):
-                setattr(args, missing, None)
-        return _cmd_link(args)
+        # N independent ones — the link request (same exit-code
+        # contract: 2 on link failure).
+        run.files = paths
+        return _cmd_request(run)
     if len(paths) > 1:
         from repro.linkage.linker import duplicate_units_across_files
 
@@ -1250,25 +929,19 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 f"use --link to resolve them into one program]",
                 file=sys.stderr,
             )
-    wants_cache = (
-        args.cache or args.cache_dir is not None or args.explain_invalidation
-    )
-    cache_dir = (
-        (args.cache_dir or default_cache_root()) if wants_cache else None
-    )
-    tracer = _start_trace(args)
-    logger, context = _start_obs(args, "batch")
+    tracer = _start_trace(run)
+    logger, context = _start_obs(run, "batch")
     previous_handlers = _install_interrupt_handlers()
     interrupted: Optional[int] = None
     try:
         result = run_batch(
             paths,
-            config,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            want_profile=args.profile is not None,
-            explain=args.explain_invalidation,
-            want_metrics=args.metrics is not None or args.report,
+            run.analysis_config(),
+            jobs=run.jobs,
+            cache_dir=run.cache_dir_or_none(),
+            want_profile=run.profile is not None,
+            explain=run.explain_invalidation,
+            want_metrics=run.metrics is not None or run.report,
             want_trace=tracer is not None,
             optimize=opt_passes,
         )
@@ -1278,31 +951,31 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         interrupted = EXIT_SIGINT - 128
     finally:
         _restore_interrupt_handlers(previous_handlers)
-        _write_trace(args, tracer)
+        _write_trace(run, tracer)
     if interrupted is not None:
         # Signal-driven drain: the pool shutdown already ran on the way
         # out of run_batch; flush whatever observability artifacts were
         # requested (partial by construction) and exit 128+signum
         # instead of unwinding into a traceback mid-pool.
-        _write_metrics(args)
+        _write_metrics(run)
         print(
             f"[batch interrupted by signal {interrupted}: pool shut "
             f"down, partial artifacts flushed]",
             file=sys.stderr,
         )
-        _finish_obs(args, logger, context, exit_code=128 + interrupted)
+        _finish_obs(run, logger, context, exit_code=128 + interrupted)
         return 128 + interrupted
     for note in result.notes:
         print(f"[degraded: {note}]", file=sys.stderr)
     for outcome in result.files:
         print(outcome.summary_line())
-        if args.report and outcome.constants_report is not None:
+        if run.report and outcome.constants_report is not None:
             print(outcome.constants_report)
-        if args.report and outcome.opt_report is not None:
+        if run.report and outcome.opt_report is not None:
             print(outcome.opt_report)
         if outcome.diagnostics:
             print(outcome.diagnostics, file=sys.stderr)
-        if args.explain_invalidation and outcome.invalidation is not None:
+        if run.explain_invalidation and outcome.invalidation is not None:
             print(format_invalidation(outcome.invalidation))
     totals = result.totals()
     print(
@@ -1313,7 +986,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         f"{totals['replayed']} replayed]"
     )
     merged = result.merged_metrics()
-    if args.report and merged is not None:
+    if run.report and merged is not None:
         print("\n--- metrics (aggregated) ---")
         for name, value in merged.counters().items():
             print(f"  {name} {value}")
@@ -1325,149 +998,30 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 for label in ("p50", "p95", "p99")
             )
             print(f"  batch_file_seconds {rendered}")
-    _write_metrics(args, registry=merged)
-    if args.profile is not None:
-        text = json.dumps(result.profile_report(), indent=2)
-        if args.profile == "-":
-            print("\n--- profile ---")
-            print(text)
-        else:
-            with open(args.profile, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"[profile written to {args.profile}]")
+    _write_metrics(run, registry=merged)
+    if run.profile is not None:
+        _write_profile(
+            json.dumps(result.profile_report(), indent=2), run.profile
+        )
     code = EXIT_OK if result.ok else EXIT_DIAGNOSTICS
-    _finish_obs(args, logger, context, exit_code=code)
+    _finish_obs(run, logger, context, exit_code=code)
     return code
 
 
-def _replay_cached_opt(payload: dict, args: argparse.Namespace) -> int:
-    """Render a cached optimization outcome byte-identically to the
-    live path (report, optional IR dump, optional IR file write)."""
-    print(f"configuration: {payload['config']}")
-    print(payload["report"])
-    if args.dump_ir:
-        print("\n--- optimized IR ---")
-        print(payload["ir"])
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload["ir"] + "\n")
-        print(f"[optimized IR written to {args.output}]")
-    return EXIT_OK
-
-
-def _cmd_optimize(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    engine = _engine_from_args(args)
-    tracer = _start_trace(args)
-    logger, context = _start_obs(args, "optimize")
-    code: Optional[int] = None
-    try:
-        from repro.obs import trace
-
-        with trace.span("optimize", file=args.file,
-                        request_id=context.request_id if context else None):
-            _flow_root(context, op="optimize", path=args.file)
-            code = _run_optimize(args, config, engine)
-            return code
-    finally:
-        if engine is not None:
-            if engine.profile is not None:
-                _emit_profile(engine, args.profile)
-            engine.close()
-        _write_trace(args, tracer)
-        _write_metrics(args)
-        _finish_obs(args, logger, context, exit_code=code)
-
-
-def _run_optimize(args: argparse.Namespace, config, engine) -> int:
-    from repro.opt import optimize_result, parse_passes
-
-    try:
-        passes = parse_passes(args.passes)
-    except ValueError as err:
-        print(f"optimize: {err}", file=sys.stderr)
-        return EXIT_DIAGNOSTICS
-    # Whole-run fast path: an unchanged (source, config, passes) triple
-    # whose previous optimization was clean replays the recorded report
-    # and optimized IR without re-analyzing. --verify-ir bypasses it
-    # (the point of the flag is to re-run the verifier).
-    replayable = not args.verify_ir
-    text = None
-    if engine is not None and engine.cache is not None:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError):
-            text = None  # let the normal path produce the located error
-        if text is not None and replayable:
-            payload = engine.cached_opt(text, config, passes)
-            if payload is not None and payload.get("ir") is not None:
-                return _replay_cached_opt(payload, args)
-
-    result, diagnostics = analyze_file_resilient(
-        args.file, config, engine=engine
-    )
-    if len(diagnostics):
-        print(diagnostics.format(), file=sys.stderr)
-    if result is None:
-        return EXIT_DIAGNOSTICS
-    report = optimize_result(result, passes, verify=args.verify_ir)
-    from repro.ir.printer import format_program
-
-    ir_text = format_program(result.program)
-    print(f"configuration: {config.describe()}")
-    print(report.render())
-    if args.dump_ir:
-        print("\n--- optimized IR ---")
-        print(ir_text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(ir_text + "\n")
-        print(f"[optimized IR written to {args.output}]")
-    if engine is not None and text is not None and replayable:
-        engine.record_opt(text, config, passes, result, report)
-    if not result.resilience.ok:
-        print("\n--- degraded components ---", file=sys.stderr)
-        print(result.resilience.summary(), file=sys.stderr)
-    if diagnostics.has_errors:
-        return EXIT_DIAGNOSTICS
-    return EXIT_OK
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(run: RunConfig) -> int:
     from repro import faults
-    from repro.engine import default_cache_root
-    from repro.serve.server import ReproServer, ServeConfig, SocketBusyError
+    from repro.serve.server import ReproServer, SocketBusyError
 
-    if args.inject_fault:
+    if run.inject_fault:
         try:
-            plan = faults.install(args.inject_fault)
+            plan = faults.install(run.inject_fault)
         except faults.FaultSpecError as err:
             print(f"serve: bad --inject-fault: {err}", file=sys.stderr)
             return EXIT_INTERNAL
         for line in plan.describe():
             print(f"[fault armed: {line}]", file=sys.stderr)
-    cache_dir = (
-        None if args.no_cache else (args.cache_dir or default_cache_root())
-    )
-    config = ServeConfig(
-        socket_path=args.socket,
-        analysis=_config_from_args(args),
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        arena=False if args.no_arena else None,
-        queue_limit=args.queue_limit,
-        default_deadline_s=args.deadline if args.deadline > 0 else None,
-        drain_timeout_s=args.drain_timeout,
-        metrics_path=args.metrics,
-        trace_path=args.trace,
-        log_path=args.log,
-        log_level=args.log_level,
-        slow_request_s=args.slow_request,
-        obs_window=args.obs_window,
-    )
     try:
-        server = ReproServer(config)
+        server = ReproServer(run.serve_config())
         return server.serve_forever()
     except SocketBusyError as err:
         print(f"serve: {err}", file=sys.stderr)
@@ -1492,31 +1046,23 @@ def _cmd_client(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_INTERNAL
     try:
-        if args.op == "analyze":
-            if project is not None:
-                response = client.analyze_project(
-                    project, entry=args.entry,
-                    deadline_ms=args.deadline_ms, explain=args.explain,
-                )
-            else:
-                response = client.analyze(
-                    single, deadline_ms=args.deadline_ms,
-                    explain=args.explain,
-                )
+        if args.op == "explain" and args.explain is None:
+            print("client: op 'explain' requires --explain NAME@PROC",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
+        if args.op in ("analyze", "explain") and project is not None:
+            response = client.analyze_project(
+                project, entry=args.entry,
+                deadline_ms=args.deadline_ms, explain=args.explain,
+            )
+        elif args.op == "analyze":
+            response = client.analyze(
+                single, deadline_ms=args.deadline_ms, explain=args.explain,
+            )
         elif args.op == "explain":
-            if args.explain is None:
-                print("client: op 'explain' requires --explain NAME@PROC",
-                      file=sys.stderr)
-                return EXIT_INTERNAL
-            if project is not None:
-                response = client.analyze_project(
-                    project, entry=args.entry,
-                    deadline_ms=args.deadline_ms, explain=args.explain,
-                )
-            else:
-                response = client.explain(
-                    single, args.explain, deadline_ms=args.deadline_ms
-                )
+            response = client.explain(
+                single, args.explain, deadline_ms=args.deadline_ms
+            )
         elif args.op == "invalidate":
             if project is not None:
                 response = client.invalidate_project(
@@ -1730,18 +1276,23 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _lower_file(path: str):
+    """Parse (strict frontend) and lower ``path`` into a fresh program."""
     from repro.frontend.parser import parse_file
     from repro.frontend.source import SourceFile
-    from repro.ir.interp import run_program
     from repro.ir.lowering import lower_module
 
-    with open(args.file, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    program = lower_module(
-        parse_file(args.file), SourceFile(args.file, text)
+    return lower_module(parse_file(path), SourceFile(path, text))
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.ir.interp import run_program
+
+    trace = run_program(
+        _lower_file(args.file), inputs=args.input, fuel=args.fuel
     )
-    trace = run_program(program, inputs=args.input, fuel=args.fuel)
     for line in trace.output:
         print(line)
     print(f"[{trace.steps} instructions executed]")
@@ -1749,16 +1300,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_clone(args: argparse.Namespace) -> int:
-    from repro.frontend.parser import parse_file
-    from repro.frontend.source import SourceFile
     from repro.ipcp.cloning import clone_for_constants
-    from repro.ir.lowering import lower_module
 
-    with open(args.file, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    program = lower_module(parse_file(args.file), SourceFile(args.file, text))
     report = clone_for_constants(
-        program, max_clones_per_procedure=args.max_clones
+        _lower_file(args.file), max_clones_per_procedure=args.max_clones
     )
     print(f"substituted references before cloning: "
           f"{report.base.substituted_constants}")
@@ -1771,15 +1316,10 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
-    from repro.frontend.parser import parse_file
-    from repro.frontend.source import SourceFile
     from repro.ipcp.inlining import integrate_and_propagate
-    from repro.ir.lowering import lower_module
 
-    with open(args.file, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    program = _lower_file(args.file)
     baseline = analyze_file(args.file, AnalysisConfig())
-    program = lower_module(parse_file(args.file), SourceFile(args.file, text))
     report = integrate_and_propagate(program, max_depth=args.depth)
     print(f"jump-function framework:  {baseline.substituted_constants} "
           f"substituted references")
@@ -1812,6 +1352,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    """The soundness campaign, or with ``--link-trials`` the
+    partition-invariance campaign, or with ``--opt-trials`` the
+    optimizer's differential-equivalence campaign."""
     from dataclasses import replace as dc_replace
 
     from repro.oracle.harness import (
@@ -1820,11 +1363,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         run_oracle,
     )
 
-    if args.link_trials is not None:
-        return _cmd_oracle_link(args)
-    if args.opt_trials is not None:
-        return _cmd_oracle_opt(args)
-
     generator_config = DEFAULT_ORACLE_CONFIG
     if args.procedures is not None:
         generator_config = dc_replace(generator_config, procedures=args.procedures)
@@ -1832,137 +1370,67 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         generator_config = dc_replace(
             generator_config, max_statements_per_procedure=args.max_statements
         )
-    properties = tuple(args.property) if args.property else PROPERTIES
-
-    profile = None
-    if args.profile is not None:
-        from repro.profiling import PipelineProfile
-
-        profile = PipelineProfile()
-
-    dots = {"count": 0}
+    trials = next(
+        count for count in (args.link_trials, args.opt_trials, args.trials)
+        if count is not None
+    )
+    done = [0]
 
     def progress(trial) -> None:
-        sys.stderr.write("s" if trial.skipped else "." if trial.ok else "F")
-        dots["count"] += 1
-        if dots["count"] % 50 == 0:
-            sys.stderr.write(f" {dots['count']}/{args.trials}\n")
+        skipped = getattr(trial, "skipped", False)
+        sys.stderr.write("s" if skipped else "." if trial.ok else "F")
+        done[0] += 1
+        if done[0] % 50 == 0:
+            sys.stderr.write(f" {done[0]}/{trials}\n")
         sys.stderr.flush()
 
-    report = run_oracle(
-        trials=args.trials,
-        seed=args.seed,
-        generator_config=generator_config,
-        properties=properties,
-        corpus_dir=args.corpus,
-        minimize=not args.no_minimize,
+    common = dict(
+        trials=trials, seed=args.seed, generator_config=generator_config,
         progress=progress,
-        profile=profile,
     )
+    profile = None
+    if args.link_trials is not None:
+        from repro.oracle.partition import run_link_trials
+
+        report = run_link_trials(max_partitions=args.max_partitions, **common)
+    elif args.opt_trials is not None:
+        from repro.oracle.equivalence import run_opt_oracle
+
+        report = run_opt_oracle(
+            corpus_dir=args.corpus, minimize=not args.no_minimize, **common
+        )
+    else:
+        if args.profile is not None:
+            from repro.profiling import PipelineProfile
+
+            profile = PipelineProfile()
+        report = run_oracle(
+            properties=tuple(args.property) if args.property else PROPERTIES,
+            corpus_dir=args.corpus,
+            minimize=not args.no_minimize,
+            profile=profile,
+            **common,
+        )
     sys.stderr.write("\n")
     print(report.summary())
     if profile is not None:
-        text = profile.to_json()
-        if args.profile == "-":
-            print("\n--- profile ---")
-            print(text)
-        else:
-            with open(args.profile, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            print(f"[profile written to {args.profile}]")
-    if not report.ok:
-        if args.corpus:
-            print(f"minimized counterexamples written to {args.corpus}/")
-        return EXIT_DIAGNOSTICS
-    return EXIT_OK
-
-
-def _cmd_oracle_link(args: argparse.Namespace) -> int:
-    from dataclasses import replace as dc_replace
-
-    from repro.oracle.harness import DEFAULT_ORACLE_CONFIG
-    from repro.oracle.partition import run_link_trials
-
-    generator_config = DEFAULT_ORACLE_CONFIG
-    if args.procedures is not None:
-        generator_config = dc_replace(
-            generator_config, procedures=args.procedures
-        )
-    if args.max_statements is not None:
-        generator_config = dc_replace(
-            generator_config, max_statements_per_procedure=args.max_statements
-        )
-
-    dots = {"count": 0}
-
-    def progress(trial) -> None:
-        sys.stderr.write("." if trial.ok else "F")
-        dots["count"] += 1
-        if dots["count"] % 50 == 0:
-            sys.stderr.write(f" {dots['count']}/{args.link_trials}\n")
-        sys.stderr.flush()
-
-    report = run_link_trials(
-        trials=args.link_trials,
-        seed=args.seed,
-        generator_config=generator_config,
-        max_partitions=args.max_partitions,
-        progress=progress,
-    )
-    sys.stderr.write("\n")
-    print(report.summary())
-    return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
-
-
-def _cmd_oracle_opt(args: argparse.Namespace) -> int:
-    from dataclasses import replace as dc_replace
-
-    from repro.oracle.equivalence import run_opt_oracle
-    from repro.oracle.harness import DEFAULT_ORACLE_CONFIG
-
-    generator_config = DEFAULT_ORACLE_CONFIG
-    if args.procedures is not None:
-        generator_config = dc_replace(
-            generator_config, procedures=args.procedures
-        )
-    if args.max_statements is not None:
-        generator_config = dc_replace(
-            generator_config, max_statements_per_procedure=args.max_statements
-        )
-
-    dots = {"count": 0}
-
-    def progress(trial) -> None:
-        sys.stderr.write("s" if trial.skipped else "." if trial.ok else "F")
-        dots["count"] += 1
-        if dots["count"] % 50 == 0:
-            sys.stderr.write(f" {dots['count']}/{args.opt_trials}\n")
-        sys.stderr.flush()
-
-    report = run_opt_oracle(
-        trials=args.opt_trials,
-        seed=args.seed,
-        generator_config=generator_config,
-        corpus_dir=args.corpus,
-        minimize=not args.no_minimize,
-        progress=progress,
-    )
-    sys.stderr.write("\n")
-    print(report.summary())
-    if not report.ok:
-        if args.corpus:
-            print(f"minimized counterexamples written to {args.corpus}/")
-        return EXIT_DIAGNOSTICS
-    return EXIT_OK
+        _write_profile(profile.to_json(), args.profile)
+    if report.ok:
+        return EXIT_OK
+    if args.corpus and args.link_trials is None:
+        print(f"minimized counterexamples written to {args.corpus}/")
+    return EXIT_DIAGNOSTICS
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command in _REQUEST_COMMANDS:
+        args = RunConfig().set_from_args(args)
     handlers = {
-        "analyze": _cmd_analyze,
-        "link": _cmd_link,
+        "analyze": _cmd_request,
+        "link": _cmd_request,
         "batch": _cmd_batch,
-        "optimize": _cmd_optimize,
+        "optimize": _cmd_request,
         "serve": _cmd_serve,
         "client": _cmd_client,
         "top": _cmd_top,

@@ -130,8 +130,8 @@ def _count(name: str, amount: int = 1) -> None:
 
 
 #: Same-process attach short-circuit: the host's created arenas (and a
-#: worker's previous attaches) are served by path, so inline and
-#: thread-executor tasks share the live object instead of remapping.
+#: worker's previous attaches) are served by path, so inline tasks
+#: share the live object instead of remapping.
 _ATTACHED: Dict[str, "SummaryArena"] = {}
 _ATTACH_LOCK = threading.Lock()
 
@@ -244,7 +244,7 @@ class SummaryArena:
     @classmethod
     def attach_cached(cls, path: str) -> "SummaryArena":
         """Attach with the same-process short-circuit — the host's own
-        created object (inline/thread tasks, fork children) is returned
+        created object (inline tasks, fork children) is returned
         live; everyone else maps the file once and caches the handle."""
         if faults.fire("unlink-arena", path=path) is not None:
             # The injected operator mistake: the segment vanishes out

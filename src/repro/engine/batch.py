@@ -13,10 +13,10 @@ order so small files fill the slots left idle while a worker chews on a
 large one — classic LPT list scheduling. Results are reported in the
 caller's input order regardless.
 
-Every file flows through the same per-file pipeline the ``analyze``
-subcommand uses — run-level replay cache first, then resilient
-analysis, then :meth:`~repro.engine.core.Engine.record_run` and the
-incremental manifest update — so a batch run leaves the cache exactly
+Every file flows through :func:`repro.request.run_request`, the request
+path ``analyze`` and the daemon use — run-level replay cache first, then
+resilient analysis, then :meth:`~repro.engine.core.Engine.record_run`
+and the incremental manifest update — so a batch run leaves the cache exactly
 as N sequential ``analyze --cache`` runs would, and a later incremental
 batch recomputes only the dirty procedures of edited files.
 """
@@ -29,11 +29,15 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import faults
 from repro.config import AnalysisConfig
+from repro.request import DIAGNOSTICS, ERROR, OK
 
-#: Outcome statuses, in severity order.
-OK = "ok"
-DIAGNOSTICS = "diagnostics"
-ERROR = "error"
+#: The :class:`~repro.request.RequestOutcome` fields a
+#: :class:`FileOutcome` carries over.
+_SHARED_FIELDS = (
+    "status", "replayed", "config", "constants_report", "total_pairs",
+    "substituted", "per_procedure", "diagnostics", "error", "invalidation",
+    "opt_report", "opt_changes",
+)
 
 
 @dataclass
@@ -195,9 +199,8 @@ def analyze_one(
 
     from repro import profiling
     from repro.engine.core import Engine
-    from repro.frontend.errors import FrontendError
-    from repro.ipcp.driver import analyze_file_resilient
     from repro.obs import context as obs_context
+    from repro.request import Wants, run_request
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace
 
@@ -209,10 +212,10 @@ def analyze_one(
 
     profile = profiling.PipelineProfile() if want_profile else None
     # Metric isolation: a thread-scoped registry captures exactly this
-    # file's instrumentation even when sibling batch threads analyze
-    # concurrently (snapshot/delta over the shared registry would
-    # attribute their counters to us); the scope is merged back into
-    # the enclosing registry on exit, so process totals still add up.
+    # file's instrumentation even when other threads count concurrently
+    # (snapshot/delta over the shared registry would attribute their
+    # counters to us); the scope is merged back into the enclosing
+    # registry on exit, so process totals still add up.
     scoped = want_profile or want_metrics
     if scoped:
         obs_metrics.push_scope()
@@ -220,8 +223,7 @@ def analyze_one(
     counters_base = registry.snapshot() if scoped else None
     # A pool worker (fresh spawn process, or fork child holding the
     # parent's tracer) records into its own tracer and ships the events
-    # back; inline and thread-mode calls write straight into the live
-    # tracer (per-thread tids keep tracks apart).
+    # back; inline calls write straight into the live tracer.
     owns_tracer = False
     if want_trace:
         tracer = trace.active()
@@ -233,8 +235,8 @@ def analyze_one(
     outcome = FileOutcome(path=path)
     # Each file is its own correlation unit: telemetry recorded while
     # analyzing it (log records, worker spans) carries a per-file
-    # request id, under the enclosing session's trace id. Thread-scoped
-    # so concurrent batch threads never adopt a sibling's ids.
+    # request id, under the enclosing session's trace id. Thread-scoped,
+    # so other threads of the process never adopt this file's ids.
     enclosing_ctx = obs_context.current()
     file_ctx = obs_context.RequestContext(
         f"file:{path}",
@@ -249,74 +251,14 @@ def analyze_one(
             request_id=file_ctx.request_id, path=path,
         )
     try:
-        text: Optional[str] = None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as err:
-            outcome.status = ERROR
-            outcome.error = str(err)
-            return outcome
-
-        if engine.cache is not None:
-            payload = engine.cached_run(text, config)
-            opt_payload = (
-                engine.cached_opt(text, config, optimize)
-                if optimize is not None else None
-            )
-            # With --optimize, a replay needs BOTH cached outcomes —
-            # the optimization mutates the program, so it cannot be
-            # recomputed from a replayed analysis.
-            if payload is not None and (
-                optimize is None or opt_payload is not None
-            ):
-                outcome.config = payload["config"]
-                outcome.constants_report = payload["constants_report"]
-                outcome.total_pairs = payload["total_pairs"]
-                outcome.substituted = payload["substituted"]
-                outcome.per_procedure = dict(payload["per_procedure"])
-                outcome.replayed = True
-                if opt_payload is not None:
-                    outcome.opt_report = opt_payload["report"]
-                    outcome.opt_changes = (
-                        opt_payload["opt"]["total_changes"]
-                    )
-                if explain:
-                    outcome.invalidation = (
-                        engine.replayed_report(path).to_dict()
-                    )
-                return outcome
-
-        try:
-            result, diagnostics = analyze_file_resilient(
-                path, config, engine=engine
-            )
-        except FrontendError as err:
-            outcome.status = ERROR
-            outcome.error = str(err)
-            return outcome
-        if result is None:
-            outcome.status = DIAGNOSTICS
-            outcome.diagnostics = diagnostics.format()
-            return outcome
-        outcome.config = config.describe()
-        outcome.constants_report = result.constants.format_report()
-        outcome.total_pairs = result.constants.total_pairs()
-        outcome.substituted = result.substituted_constants
-        outcome.per_procedure = dict(result.substitution.per_procedure)
-        if len(diagnostics):
-            outcome.diagnostics = diagnostics.format()
-        engine.record_run(text, config, result)
-        if optimize is not None:
-            from repro.opt import optimize_result
-
-            opt_report = optimize_result(result, tuple(optimize))
-            outcome.opt_report = opt_report.render()
-            outcome.opt_changes = opt_report.total_changes
-            engine.record_opt(text, config, optimize, result, opt_report)
-        report = engine.finish_incremental(path)
-        if report is not None:
-            outcome.invalidation = report.to_dict()
+        request = run_request(
+            "analyze", [path], config, engine,
+            Wants(passes=tuple(optimize) if optimize is not None else None),
+        )
+        for name in _SHARED_FIELDS:
+            setattr(outcome, name, getattr(request, name))
+        if request.replayed and not explain:
+            outcome.invalidation = None
         return outcome
     except Exception as err:  # noqa: BLE001 — a worker must not die on
         outcome.status = ERROR  # one bad input; the batch reports it
@@ -375,7 +317,6 @@ def run_batch(
     cache_dir: Optional[str] = None,
     want_profile: bool = False,
     explain: bool = False,
-    executor: str = "process",
     want_metrics: bool = False,
     want_trace: bool = False,
     optimize: Optional[Sequence[str]] = None,
@@ -383,16 +324,13 @@ def run_batch(
     """Analyze every file in ``paths`` against one persistent pool.
 
     ``jobs=1`` runs everything inline (still amortizing imports and the
-    cache handle). ``executor`` mirrors :class:`~repro.engine.core.
-    Engine`: ``"process"`` for real parallelism, ``"thread"`` for
-    GIL-bound determinism testing. ``want_metrics`` attaches a per-file
-    metrics delta to each outcome; ``want_trace`` records trace events
-    in the workers and folds them into the caller's live tracer.
+    cache handle); ``jobs > 1`` runs files on a process pool.
+    ``want_metrics`` attaches a per-file metrics delta to each outcome;
+    ``want_trace`` records trace events in the workers and folds them
+    into the caller's live tracer.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if executor not in ("process", "thread"):
-        raise ValueError(f"unknown executor {executor!r}")
     config = config or AnalysisConfig()
     paths = list(paths)
     if jobs == 1 or len(paths) <= 1:
@@ -412,27 +350,7 @@ def run_batch(
     task_args = (config, cache_dir, want_profile, explain,
                  want_metrics, want_trace, optimize)
 
-    if executor == "thread":
-        # Files genuinely overlap here: each thread's engine installs
-        # its worker state thread-locally (parallel._get_state) and its
-        # metrics land in a thread-scoped registry, so concurrent
-        # engines never clobber each other. Still GIL-bound — real
-        # speedups come from I/O overlap and the process executor — but
-        # no longer serialized behind a lock. (Threads cannot break the
-        # executor, so no recovery loop here.)
-        pool = cf.ThreadPoolExecutor(max_workers=jobs)
-        try:
-            futures = {
-                path: pool.submit(analyze_one, path, *task_args)
-                for path in _schedule(paths)
-            }
-            return _collect(
-                [futures[path].result() for path in paths], jobs
-            )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    # Process executor, with broken-pool recovery: a worker killed
+    # Process pool, with broken-pool recovery: a worker killed
     # mid-file (OOM killer, operator, injected fault) breaks every
     # in-flight future. Completed outcomes are kept, the pool is
     # rebuilt once and the unfinished files resubmitted after a

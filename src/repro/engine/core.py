@@ -55,11 +55,14 @@ ARENA_MAX_CHUNK = 200
 class Engine:
     """One engine instance drives one or more analysis runs.
 
-    ``jobs=1`` with no cache and no profile degenerates to the plain
-    serial builders. ``executor`` selects the pool flavor: ``"process"``
-    (fork when available, else spawn; real parallelism) or ``"thread"``
-    (GIL-bound — useful for determinism testing and on single-CPU
-    machines, not for speed).
+    Even at ``jobs=1`` with no cache and no profile the engine is not
+    the plain serial pipeline: every summary is built by the same task
+    functions a pool worker runs, encoded to an identity-free payload
+    (:mod:`repro.engine.summaries`) and decoded into the parent's maps.
+    ``jobs > 1`` runs the waves on a process pool (fork when available,
+    else spawn) and exchanges summaries through the shared-memory arena
+    whenever it can be created, over the pool's pickle channel
+    otherwise.
     """
 
     def __init__(
@@ -68,25 +71,14 @@ class Engine:
         cache_dir: Optional[str] = None,
         cache: Optional[SummaryCache] = None,
         profile: Optional[PipelineProfile] = None,
-        executor: str = "process",
-        arena: Optional[bool] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if executor not in ("process", "thread"):
-            raise ValueError(f"unknown executor {executor!r}")
         self.jobs = jobs
         if cache is None and cache_dir is not None:
             cache = SummaryCache(cache_dir)
         self.cache = cache
         self.profile = profile
-        self.executor_kind = executor
-        #: Shared-memory summary exchange policy: ``None`` (auto) turns
-        #: the arena on whenever a pool is in play, ``False`` pins the
-        #: classic pickle transport (``--no-arena``), ``True`` insists
-        #: (still degrades to pickling if segments cannot be created —
-        #: the arena is an optimization, never a correctness gate).
-        self.arena_mode = arena
         #: Optional cooperative-cancellation hook: called between
         #: scheduling waves; raising aborts the run (the daemon sets
         #: this to its per-request deadline check).
@@ -168,11 +160,7 @@ class Engine:
         """Whether waves should ride the arena — creating the per-run
         segments on first use. Only meaningful with a pool (``jobs >
         1``); creation failure quarantines the arena for the run."""
-        if (
-            not self._arena_healthy
-            or self.jobs <= 1
-            or self.arena_mode is False
-        ):
+        if not self._arena_healthy or self.jobs <= 1:
             return False
         if self._arena_stream is None:
             try:
@@ -312,11 +300,9 @@ class Engine:
                     self._keys = {}
         state = parallel._get_state()
         if state is None or state.program is not program:
-            # Thread/inline tasks run against the parent's own prepared
+            # Inline tasks run against the parent's own prepared
             # objects; a process pool's forked children inherit this
-            # very state copy-on-write at submit time. (The getter is
-            # thread-scoped so concurrent batch-thread engines each see
-            # their own program, not a sibling's.)
+            # very state copy-on-write at submit time.
             state = parallel._WorkerState(
                 program, config, prepared=True,
                 callgraph=callgraph, modref=None,
@@ -329,11 +315,6 @@ class Engine:
         if self.jobs <= 1 or self._pool is not None:
             return self._pool
         import concurrent.futures as cf
-
-        if self.executor_kind == "thread":
-            self._pool = cf.ThreadPoolExecutor(max_workers=self.jobs)
-            self._pool_kind = "thread"
-            return self._pool
         import multiprocessing as mp
 
         methods = mp.get_all_start_methods()
@@ -350,10 +331,8 @@ class Engine:
             source = self._program.source if self._program is not None else None
             if source is None:
                 # Spawn workers cannot rebuild the program without its
-                # source text; fall back to threads.
-                self._pool = cf.ThreadPoolExecutor(max_workers=self.jobs)
-                self._pool_kind = "thread"
-                return self._pool
+                # source text; run the waves inline instead.
+                return None
             self._pool = cf.ProcessPoolExecutor(
                 max_workers=self.jobs,
                 mp_context=mp.get_context("spawn"),
@@ -421,7 +400,7 @@ class Engine:
                 resilience.record(
                     "engine_pool",
                     stage or "engine",
-                    f"{self.executor_kind}-pool",
+                    "process-pool",
                     "serial",
                     "worker pool broke twice; degraded to in-process "
                     "serial execution",
@@ -450,13 +429,10 @@ class Engine:
                 pool=self._pool_kind or "inline", jobs=self.jobs,
             )
         ctx = obs_context.current_ids()
-        if self._pool_kind in ("fork", "spawn") and (
-            trace.ENABLED or ctx is not None
-        ):
+        if trace.ENABLED or ctx is not None:
             # Process workers record into their own tracer and ship
             # the new events back with each result; the parent adopts
-            # them (worker pids become separate trace tracks). Thread
-            # workers share the live tracer and the thread's context.
+            # them (worker pids become separate trace tracks).
             # The wrapper also carries the request's correlation ids —
             # the explicit channel that covers spawn workers and the
             # pickle path, where nothing is inherited.
@@ -804,38 +780,21 @@ class Engine:
     # -- whole-run result cache ----------------------------------------------
 
     def cached_run(self, text: str, config: AnalysisConfig) -> Optional[dict]:
-        """Look up a whole (source, config) outcome — the CLI fast path
+        """Look up a whole (source, config) outcome — the fast path
         that skips parsing entirely on an unchanged input."""
-        if self.cache is None:
-            return None
-        payload = self.cache.get("run", fingerprint.run_key(text, config))
-        if payload is not None:
-            self._count("run_cache_hits")
-        else:
-            self._count("run_cache_misses")
-        if trace.ENABLED:
-            trace.instant(
-                "run_cache.hit" if payload is not None else "run_cache.miss"
-            )
-        return payload
+        return self._lookup_outcome("run", fingerprint.run_key(text, config))
 
     def record_run(self, text: str, config: AnalysisConfig, result) -> None:
-        """Record a *clean* run's render-ready outcome. Runs with
-        demotions or diagnostics are never recorded: their output
-        depends on more than (source, config) content.
+        """Record a *clean* run's render-ready outcome.
 
         Besides the constants report, the payload carries the renderings
         every replayable CLI mode needs — the transformed source, the
         ``--stats`` table, and the ``--dump-ir`` text — so a warm replay
         can serve those flags without re-analyzing.
         """
-        if self.cache is None:
+        if not self._recordable(result):
             return
-        if result.resilience.demotions:
-            return
-        if result.diagnostics is not None and result.diagnostics.diagnostics:
-            return
-        payload = {
+        self._store_outcome("run", fingerprint.run_key(text, config), {
             "config": config.describe(),
             "constants_report": result.constants.format_report(),
             "total_pairs": result.constants.total_pairs(),
@@ -849,53 +808,53 @@ class Engine:
             "stats": self._render_stats(result),
             "ir": self._render_ir(result),
             "provenance": self._render_provenance(result),
-        }
-        self.cache.put("run", fingerprint.run_key(text, config), payload)
-        self._count("run_cache_stores")
+        })
 
     def cached_opt(self, text: str, config: AnalysisConfig,
                    passes) -> Optional[dict]:
         """Look up a whole (source, config, passes) optimization outcome
         — the ``repro optimize`` fast path replaying the optimized IR
         and report byte-identically on an unchanged input."""
-        if self.cache is None:
-            return None
-        payload = self.cache.get(
+        return self._lookup_outcome(
             "opt", fingerprint.opt_key(text, config, passes)
         )
-        if payload is not None:
-            self._count("opt_cache_hits")
-        else:
-            self._count("opt_cache_misses")
-        if trace.ENABLED:
-            trace.instant(
-                "opt_cache.hit" if payload is not None else "opt_cache.miss"
-            )
-        return payload
 
     def record_opt(self, text: str, config: AnalysisConfig, passes,
                    result, report) -> None:
         """Record a clean optimization run: the rendered report, the
-        optimized (destructed) IR, and the pass statistics. The same
-        cleanliness rule as :meth:`record_run` applies — degraded runs
-        depend on more than (source, config, passes) content."""
-        if self.cache is None:
+        optimized (destructed) IR, and the pass statistics."""
+        if not self._recordable(result):
             return
-        if result.resilience.demotions:
-            return
-        if result.diagnostics is not None and result.diagnostics.diagnostics:
-            return
-        payload = {
+        self._store_outcome("opt", fingerprint.opt_key(text, config, passes), {
             "config": config.describe(),
             "passes": list(passes),
             "report": report.render(),
             "opt": report.to_payload(),
             "ir": self._render_ir(result),
-        }
-        self.cache.put(
-            "opt", fingerprint.opt_key(text, config, passes), payload
+        })
+
+    def _lookup_outcome(self, namespace: str, key: str) -> Optional[dict]:
+        if self.cache is None:
+            return None
+        payload = self.cache.get(namespace, key)
+        hit = payload is not None
+        self._count(f"{namespace}_cache_{'hits' if hit else 'misses'}")
+        if trace.ENABLED:
+            trace.instant(f"{namespace}_cache.{'hit' if hit else 'miss'}")
+        return payload
+
+    def _recordable(self, result) -> bool:
+        """Only clean runs are recorded: the output of a run with
+        demotions or diagnostics depends on more than its content."""
+        if self.cache is None or result.resilience.demotions:
+            return False
+        return not (
+            result.diagnostics is not None and result.diagnostics.diagnostics
         )
-        self._count("opt_cache_stores")
+
+    def _store_outcome(self, namespace: str, key: str, payload: dict) -> None:
+        self.cache.put(namespace, key, payload)
+        self._count(f"{namespace}_cache_stores")
 
     @staticmethod
     def _render_stats(result) -> Optional[str]:

@@ -1,9 +1,9 @@
 """Worker-side state and task functions for the engine's pool.
 
-One module-level :data:`_STATE` per worker process (or, for the thread
-executor and the inline jobs=1 path, per *host* process) holds the
-worker's own isomorphic copy of the program plus the return-function
-map it has reconstructed so far. Three executor bootstraps feed it:
+One module-level :data:`_STATE` per worker process (or, for the inline
+jobs=1 path, per *host* process) holds the worker's own isomorphic copy
+of the program plus the return-function map it has reconstructed so
+far. Three bootstraps feed it:
 
 - **fork** (the default on POSIX): the parent sets :data:`_STATE` and
   then creates the pool — ``ProcessPoolExecutor`` forks workers during
@@ -15,9 +15,9 @@ map it has reconstructed so far. Three executor bootstraps feed it:
   :func:`_init_spawn` — parse, lower, and prepare are deterministic,
   so the rebuilt program is isomorphic to the parent's and the
   name/position-based summary encoding lines up exactly;
-- **thread / inline**: the parent installs its own prepared state
-  directly; tasks share the parent's objects (all stage work is
-  read-only on the IR, and the shared return map is guarded).
+- **inline** (``jobs=1``, a demoted pool, or spawn without source
+  text): the parent installs its own prepared state directly and runs
+  every task in-process against its own objects.
 
 Return-function summaries flow between waves as an *append-only
 canonical payload*: the parent appends every generated/cached entry in
@@ -34,17 +34,10 @@ entry exactly once either way. Results travel back the same way:
 a worker appends its summary dict to the *exchange* segment and
 returns a tiny ``{"@": index}`` descriptor (or the dict itself when
 the exchange is unavailable — the parent accepts both).
-
-:data:`_STATE` is layered: a module global (what fork children inherit
-and an engine's own thread pool reads) under a ``threading.local``
-override (what lets the *batch* thread executor run several engines
-concurrently in one process — each batch thread sees only its own
-program). :func:`_get_state` prefers the thread-local.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Union
 
 from repro import faults
@@ -77,37 +70,18 @@ class _WorkerState:
 
         self.return_map = ReturnFunctionMap()
         self.applied_returns = 0
-        self.lock = threading.Lock()
 
 
 #: The current worker's state; installed by one of the bootstraps below.
 _STATE: Optional[_WorkerState] = None
 
-#: Per-thread override of :data:`_STATE`. Batch threads install their
-#: engine's state here so concurrent files never clobber each other;
-#: fork children inherit the forking thread's value (CPython preserves
-#: ``threading.local`` across fork for the surviving thread), and an
-#: engine's own thread-pool workers — fresh threads with an empty
-#: local — fall through to the global.
-_TLS = threading.local()
-
 
 def _set_state(state: Optional[_WorkerState]) -> None:
     global _STATE
     _STATE = state
-    _TLS.state = state
-
-
-def _set_thread_state(state: Optional[_WorkerState]) -> None:
-    """Install (or clear) only this thread's state, leaving the global
-    for other threads — the batch thread executor's isolation."""
-    _TLS.state = state
 
 
 def _get_state() -> Optional[_WorkerState]:
-    state = getattr(_TLS, "state", None)
-    if state is not None:
-        return state
     return _STATE
 
 
@@ -207,14 +181,12 @@ def _ensure_prepared() -> _WorkerState:
     if state is None:
         raise RuntimeError("engine worker state was never installed")
     if not state.prepared:
-        with state.lock:
-            if not state.prepared:
-                from repro.ipcp.driver import prepare_program
+        from repro.ipcp.driver import prepare_program
 
-                state.callgraph, state.modref = prepare_program(
-                    state.program, state.config
-                )
-                state.prepared = True
+        state.callgraph, state.modref = prepare_program(
+            state.program, state.config
+        )
+        state.prepared = True
     return state
 
 
@@ -230,14 +202,11 @@ def _apply_returns(state: _WorkerState, payload: List[dict]) -> None:
     into this worker's map. Entries are keyed (procedure, target), so
     re-applying one the worker built itself is an idempotent overwrite
     with an equal-valued function."""
-    if state.applied_returns >= len(payload):
-        return
-    with state.lock:
-        for data in payload[state.applied_returns:]:
-            state.return_map.add(
-                summaries.decode_return_function(data, state.program)
-            )
-        state.applied_returns = len(payload)
+    for data in payload[state.applied_returns:]:
+        state.return_map.add(
+            summaries.decode_return_function(data, state.program)
+        )
+    state.applied_returns = max(state.applied_returns, len(payload))
 
 
 def _resolve_returns(state: _WorkerState, returns_ref: ReturnsRef) -> None:
@@ -260,16 +229,12 @@ def _resolve_returns(state: _WorkerState, returns_ref: ReturnsRef) -> None:
     from repro.engine.arena import SummaryArena
 
     segment = SummaryArena.attach_cached(stream_path)
-    with state.lock:
-        start = state.applied_returns
-        if start >= upto:
-            return
-        for index in range(start, upto):
-            _, _, data = segment.read(index)
-            state.return_map.add(
-                summaries.decode_return_function(data, state.program)
-            )
-        state.applied_returns = upto
+    for index in range(state.applied_returns, upto):
+        _, _, data = segment.read(index)
+        state.return_map.add(
+            summaries.decode_return_function(data, state.program)
+        )
+    state.applied_returns = upto
 
 
 def _publish_result(

@@ -278,8 +278,7 @@ def maybe_kill_worker(**context) -> None:
     """``kill-worker`` point: SIGKILL the current process — but only
     when it is a *pool worker* (its pid differs from the host process
     that armed the plan). The host process never self-destructs, so an
-    inline/thread-executor run ignores the fault instead of taking the
-    daemon down."""
+    inline run ignores the fault instead of taking the daemon down."""
     if _PLAN is None:
         return
     spec = _PLAN.fire("kill-worker", **context)

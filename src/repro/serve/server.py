@@ -47,7 +47,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro import faults
 from repro.config import AnalysisConfig
@@ -65,11 +65,6 @@ from repro.serve.lifecycle import Cancelled, Deadline, DeadlineExpired, Ticket
 EXIT_OK = 0
 EXIT_SIGINT = 130
 EXIT_SIGTERM = 143
-
-#: Analysis-outcome statuses inside a successful response.
-STATUS_OK = "ok"
-STATUS_DIAGNOSTICS = "diagnostics"
-STATUS_ERROR = "error"
 
 #: Counter-name prefixes surfaced by the ``status`` op.
 _STATUS_COUNTER_PREFIXES = (
@@ -102,9 +97,6 @@ class ServeConfig:
     #: Capacity of the per-request ring buffer behind ``repro top``
     #: and the ``obs`` protocol op.
     obs_window: int = 256
-    #: Shared-memory arena policy for the persistent engine: None
-    #: (auto: on whenever ``jobs > 1``) or False (``--no-arena``).
-    arena: Optional[bool] = None
 
 
 class SocketBusyError(RuntimeError):
@@ -119,10 +111,7 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig):
         self.config = config
-        self.engine = Engine(
-            jobs=config.jobs, cache_dir=config.cache_dir,
-            arena=config.arena,
-        )
+        self.engine = Engine(jobs=config.jobs, cache_dir=config.cache_dir)
         self._queue: "queue.Queue[Ticket]" = queue.Queue(
             maxsize=max(1, config.queue_limit)
         )
@@ -643,29 +632,21 @@ class ReproServer:
         """Returns ``(result, degraded_notes)`` for a successful
         response; raises for request-level failures."""
         project = request.params.get("project")
+        project = list(project) if project is not None else None
         entry = request.params.get("entry")
+        entry = entry if isinstance(entry, str) else None
         if request.op == "analyze":
-            explain = request.params.get("explain")
-            if project is not None:
-                return self._op_analyze_project(
-                    list(project), entry, deadline, explain
-                )
-            return self._op_analyze(request.path, deadline, explain)
+            cell = request.params.get("explain")
+            return self._op_analyze(request.path, project, entry, deadline, cell)
         if request.op == "explain":
             cell = request.params.get("cell")
             if not isinstance(cell, str) or not cell:
                 raise protocol.ProtocolError(
                     "op 'explain' requires params.cell (NAME@PROC)"
                 )
-            if project is not None:
-                return self._op_analyze_project(
-                    list(project), entry, deadline, cell
-                )
-            return self._op_analyze(request.path, deadline, cell)
+            return self._op_analyze(request.path, project, entry, deadline, cell)
         if request.op == "invalidate":
-            if project is not None:
-                return self._op_invalidate_project(list(project), entry), []
-            return self._op_invalidate(request.path), []
+            return self._op_invalidate(request.path, project, entry), []
         if request.op == "status":
             return self._op_status(), []
         if request.op == "obs":
@@ -675,313 +656,89 @@ class ReproServer:
             return {"stopping": True}, []
         raise protocol.ProtocolError(f"unhandled op {request.op!r}")
 
+    @staticmethod
+    def _target(path, project, entry):
+        """``(kind, paths, response head)`` for a file or a project
+        manifest. A project links its files into one whole program; the
+        request path keys its run cache on the project bundle text and
+        its incremental manifest on the project label, so a daemon
+        alternating between a project and its member files never mixes
+        their cache entries."""
+        if project is None:
+            return "analyze", [path], {"path": path}
+        return "link", project, {"project": project, "entry": entry}
+
     # -- op: analyze / explain -----------------------------------------------
 
-    def _op_analyze(
-        self,
-        path: str,
-        deadline: Deadline,
-        explain: Optional[str] = None,
-    ):
-        """The core serving path: replay-or-analyze ``path`` against
-        the shared engine, mirroring ``repro batch``'s per-file unit
-        but with deadline checkpoints and degradation notes.
+    def _op_analyze(self, path, project, entry, deadline: Deadline,
+                    explain: Optional[str] = None):
+        """The core serving path: replay-or-analyze a file or a project
+        through :func:`repro.request.run_request` against the shared
+        engine, with deadline and drain checkpoints between scheduling
+        waves.
 
-        Per-request counter isolation follows the batch protocol:
-        snapshot the process registry, attribute only the delta — the
-        ``recomputed_ret``/``recomputed_fwd`` counters in the response
-        are how clients (and the robustness tests) verify that a warm
+        The dispatcher pushes a metrics scope per request, so the
+        registry delta is exactly this request's counters; the
+        ``recomputed_ret``/``recomputed_fwd`` counters in it are how
+        clients (and the robustness tests) verify that a warm
         re-analysis touched exactly the dirty set."""
-        from repro.frontend.errors import FrontendError
-        from repro.ipcp.driver import analyze_file_resilient
+        from repro.request import DIAGNOSTICS, ERROR, Wants, run_request
 
-        config = self.config.analysis
-        # The dispatcher pushes a metrics scope per request, so the
-        # *dynamic* registry holds exactly this request's counters —
-        # concurrent handler-thread activity (sheds, bad frames) lands
-        # in the global registry and can never pollute this delta.
+        kind, paths, result = self._target(path, project, entry)
         registry = obs_metrics.default_registry()
         snapshot = registry.snapshot()
-        result_payload: Dict[str, object] = {
-            "path": path,
-            "status": STATUS_OK,
-            "replayed": False,
-        }
-        degraded: List[str] = []
-
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as err:
-            result_payload["status"] = STATUS_ERROR
-            result_payload["error"] = str(err)
-            result_payload["metrics"] = {}
-            return result_payload, degraded
-
-        payload = (
-            self.engine.cached_run(text, config)
-            if self.engine.cache is not None
-            else None
+        self.engine.checkpoint = lambda: (
+            deadline.check("analysis"),
+            self._drain_check(),
         )
-        if payload is not None and self._payload_serves(payload, explain):
+        try:
+            outcome = run_request(
+                kind, paths, self.config.analysis, self.engine,
+                Wants(explain=explain, entry=entry),
+            )
+        finally:
+            self.engine.checkpoint = None
+        result.update(status=outcome.status, replayed=outcome.replayed)
+        if outcome.status == ERROR:
+            result.update(error=outcome.error, metrics={})
+            return result, []
+        if outcome.replayed:
             obs_metrics.inc("serve_replayed")
-            result_payload.update(
-                config=payload["config"],
-                constants_report=payload["constants_report"],
-                total_pairs=payload["total_pairs"],
-                substituted=payload["substituted"],
-                per_procedure=dict(payload["per_procedure"]),
-                replayed=True,
-                invalidation=self.engine.replayed_report(path).to_dict(),
+        if outcome.status != DIAGNOSTICS:
+            result.update(
+                config=outcome.config,
+                constants_report=outcome.constants_report,
+                total_pairs=outcome.total_pairs,
+                substituted=outcome.substituted,
+                per_procedure=outcome.per_procedure,
             )
-            if explain is not None:
-                self._render_explain_from_payload(
-                    payload, explain, result_payload
-                )
-        else:
-            deadline.check("analysis")
-            self.engine.checkpoint = lambda: (
-                deadline.check("analysis"),
-                self._drain_check(),
-            )
-            try:
-                result, diagnostics = analyze_file_resilient(
-                    path, config, engine=self.engine
-                )
-            except FrontendError as err:
-                result_payload["status"] = STATUS_ERROR
-                result_payload["error"] = str(err)
-                result_payload["metrics"] = {}
-                return result_payload, degraded
-            finally:
-                self.engine.checkpoint = None
-            if result is None:
-                result_payload["status"] = STATUS_DIAGNOSTICS
-                result_payload["diagnostics"] = diagnostics.format()
-            else:
-                result_payload.update(
-                    config=config.describe(),
-                    constants_report=result.constants.format_report(),
-                    total_pairs=result.constants.total_pairs(),
-                    substituted=result.substituted_constants,
-                    per_procedure=dict(result.substitution.per_procedure),
-                )
-                if len(diagnostics):
-                    result_payload["diagnostics"] = diagnostics.format()
-                if explain is not None:
-                    self._render_explain_live(result, explain, result_payload)
-                self.engine.record_run(text, config, result)
-                report = self.engine.finish_incremental(path)
-                if report is not None:
-                    result_payload["invalidation"] = report.to_dict()
-                if not result.resilience.ok:
-                    degraded.extend(
-                        demotion.render() for demotion in result.resilience
-                    )
-        if self.engine.pool_demoted:
-            degraded.append(
-                "analysis engine demoted to in-process serial execution "
-                "(worker pool broke twice)"
-            )
-        delta = registry.delta_since(snapshot)
-        result_payload["metrics"] = delta["counters"]
-        return result_payload, degraded
-
-    def _op_analyze_project(
-        self,
-        project: List[str],
-        entry: Optional[str],
-        deadline: Deadline,
-        explain: Optional[str] = None,
-    ):
-        """Project-manifest variant of :meth:`_op_analyze`: link the
-        manifest's files into one whole program (:mod:`repro.linkage`)
-        and serve it through the same replay-or-analyze engine path.
-        The run cache is keyed on the injective project bundle text and
-        the incremental manifest on the synthetic project label, so a
-        daemon alternating between a project and its member files never
-        mixes their cache entries."""
-        from repro.linkage import (
-            analyze_linked_sources,
-            project_bundle_text,
-            project_label,
-        )
-
-        entry_name = entry if isinstance(entry, str) else None
-        registry = obs_metrics.default_registry()  # scoped per request
-        snapshot = registry.snapshot()
-        result_payload: Dict[str, object] = {
-            "project": list(project),
-            "entry": entry_name,
-            "status": STATUS_OK,
-            "replayed": False,
-        }
-        degraded: List[str] = []
-
-        named = []
-        for path in project:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    named.append((path, handle.read()))
-            except (OSError, UnicodeDecodeError) as err:
-                result_payload["status"] = STATUS_ERROR
-                result_payload["error"] = str(err)
-                result_payload["metrics"] = {}
-                return result_payload, degraded
-        bundle = project_bundle_text(named, entry_name)
-        label = project_label(project, entry_name)
-
-        payload = (
-            self.engine.cached_run(bundle, self.config.analysis)
-            if self.engine.cache is not None
-            else None
-        )
-        if payload is not None and self._payload_serves(payload, explain):
-            obs_metrics.inc("serve_replayed")
-            result_payload.update(
-                config=payload["config"],
-                constants_report=payload["constants_report"],
-                total_pairs=payload["total_pairs"],
-                substituted=payload["substituted"],
-                per_procedure=dict(payload["per_procedure"]),
-                replayed=True,
-                invalidation=self.engine.replayed_report(label).to_dict(),
-            )
-            if explain is not None:
-                self._render_explain_from_payload(
-                    payload, explain, result_payload
-                )
-        else:
-            deadline.check("analysis")
-            self.engine.checkpoint = lambda: (
-                deadline.check("analysis"),
-                self._drain_check(),
-            )
-            try:
-                result, link = analyze_linked_sources(
-                    named,
-                    self.config.analysis,
-                    entry=entry_name,
-                    engine=self.engine,
-                )
-            finally:
-                self.engine.checkpoint = None
-            if result is None:
-                result_payload["status"] = STATUS_DIAGNOSTICS
-                result_payload["diagnostics"] = link.diagnostics.format()
-            else:
-                result_payload.update(
-                    config=self.config.analysis.describe(),
-                    constants_report=result.constants.format_report(),
-                    total_pairs=result.constants.total_pairs(),
-                    substituted=result.substituted_constants,
-                    per_procedure=dict(result.substitution.per_procedure),
-                )
-                if len(link.diagnostics):
-                    result_payload["diagnostics"] = link.diagnostics.format()
-                if explain is not None:
-                    self._render_explain_live(result, explain, result_payload)
-                self.engine.record_run(bundle, self.config.analysis, result)
-                report = self.engine.finish_incremental(label)
-                if report is not None:
-                    result_payload["invalidation"] = report.to_dict()
-                if not result.resilience.ok:
-                    degraded.extend(
-                        demotion.render() for demotion in result.resilience
-                    )
-        if self.engine.pool_demoted:
-            degraded.append(
-                "analysis engine demoted to in-process serial execution "
-                "(worker pool broke twice)"
-            )
-        delta = registry.delta_since(snapshot)
-        result_payload["metrics"] = delta["counters"]
-        return result_payload, degraded
-
-    @staticmethod
-    def _payload_serves(payload: dict, explain: Optional[str]) -> bool:
-        """A replayed run can serve an ``explain`` only when its
-        provenance rendering was recorded; otherwise fall through to a
-        live analysis rather than silently dropping the section."""
-        if explain is None:
-            return True
-        from repro.obs.provenance import ConstantProvenance
-
-        return (
-            ConstantProvenance.from_payload(payload.get("provenance"))
-            is not None
-        )
-
-    @staticmethod
-    def _render_explain_from_payload(
-        payload: dict, cell: str, result_payload: dict
-    ) -> None:
-        from repro.obs.provenance import ConstantProvenance
-
-        provenance = ConstantProvenance.from_payload(payload["provenance"])
-        try:
-            result_payload["explain"] = provenance.explain(cell)
-        except ValueError as err:
-            result_payload["explain_error"] = str(err)
-
-    @staticmethod
-    def _render_explain_live(result, cell: str, result_payload: dict) -> None:
-        from repro.obs.provenance import build_provenance
-
-        try:
-            result_payload["explain"] = build_provenance(result).explain(cell)
-        except ValueError as err:
-            result_payload["explain_error"] = str(err)
+        for key in ("diagnostics", "invalidation", "explain", "explain_error"):
+            if getattr(outcome, key) is not None:
+                result[key] = getattr(outcome, key)
+        result["metrics"] = registry.delta_since(snapshot)["counters"]
+        return result, outcome.notes
 
     # -- op: invalidate ------------------------------------------------------
 
-    def _op_invalidate(self, path: str) -> dict:
-        """Evict the whole-run replay entry for ``path``'s *current*
-        content, forcing the next ``analyze`` through the engine (where
-        the summary cache + manifest diff recompute exactly the dirty
-        set — for an unchanged file, nothing)."""
+    def _op_invalidate(self, path, project, entry) -> dict:
+        """Evict the whole-run replay entry for the file's or project's
+        *current* content, forcing the next ``analyze`` through the
+        engine (where the summary cache + manifest diff recompute
+        exactly the dirty set — for an unchanged input, nothing)."""
+        from repro.request import read_sources, request_text
+
         obs_metrics.inc("serve_invalidations")
-        result: Dict[str, object] = {"path": path, "invalidated": False}
+        kind, paths, result = self._target(path, project, entry)
+        result["invalidated"] = False
         if self.engine.cache is None:
             result["error"] = "server runs without a cache"
             return result
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as err:
-            result["error"] = str(err)
+        named, failure = read_sources(paths)
+        if failure is not None:
+            result["error"] = str(failure[1])
             return result
-        key = fingerprint.run_key(text, self.config.analysis)
-        result["invalidated"] = self.engine.cache.delete("run", key)
-        return result
-
-    def _op_invalidate_project(
-        self, project: List[str], entry: Optional[str]
-    ) -> dict:
-        """Project variant of :meth:`_op_invalidate`: evict the replay
-        entry keyed on the manifest's *current* bundle text."""
-        from repro.linkage import project_bundle_text
-
-        obs_metrics.inc("serve_invalidations")
-        entry_name = entry if isinstance(entry, str) else None
-        result: Dict[str, object] = {
-            "project": list(project),
-            "entry": entry_name,
-            "invalidated": False,
-        }
-        if self.engine.cache is None:
-            result["error"] = "server runs without a cache"
-            return result
-        named = []
-        for path in project:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    named.append((path, handle.read()))
-            except (OSError, UnicodeDecodeError) as err:
-                result["error"] = str(err)
-                return result
         key = fingerprint.run_key(
-            project_bundle_text(named, entry_name), self.config.analysis
+            request_text(kind, named, entry), self.config.analysis
         )
         result["invalidated"] = self.engine.cache.delete("run", key)
         return result

@@ -14,6 +14,7 @@ import struct
 
 import pytest
 
+from repro import faults
 from repro.config import AnalysisConfig
 from repro.engine import Engine
 from repro.engine import arena as arena_mod
@@ -329,7 +330,7 @@ class TestEngineEquivalence:
                 text = generate_case(seed, self.GENERATOR).source
                 serial = fingerprint_run(text)
                 base = metrics.snapshot()
-                with Engine(jobs=2, executor="process") as engine:
+                with Engine(jobs=2) as engine:
                     parallel = fingerprint_run(text, engine=engine)
                 delta = metrics.delta_since(base)["counters"]
                 assert parallel == serial, f"seed {seed} diverged"
@@ -353,33 +354,49 @@ class TestEngineEquivalence:
         finally:
             del os.environ[arena_mod.ENV_DIR]
 
-    def test_pickle_mode_still_identical_and_counter_distinguishes(self):
+    def test_pickle_fallback_identical_and_counter_distinguishes(self):
+        """The pickle channel, reached through the ``unlink-arena``
+        fault point: the first attach fails, the arena is quarantined
+        for the run, and the waves re-ship their payload entries over
+        the pool's pickle channel."""
         # Seeds whose programs exchange non-empty return summaries (a
         # seed with all-empty summaries ships zero on both transports).
         for seed in (0, 7, 8):
             text = generate_case(seed, self.GENERATOR).source
             serial = fingerprint_run(text)
+            faults.install("unlink-arena:nth=1")  # forked workers see it
             base = metrics.snapshot()
-            with Engine(jobs=2, executor="process", arena=False) as engine:
-                parallel = fingerprint_run(text, engine=engine)
+            try:
+                with Engine(jobs=2) as engine:
+                    parallel = fingerprint_run(text, engine=engine)
+            finally:
+                faults.clear()
             delta = metrics.delta_since(base)["counters"]
             assert parallel == serial, f"seed {seed} diverged"
+            assert delta.get("arena_fallbacks", 0) == 1
             assert delta.get("engine_pickle_payload_entries", 0) > 0, (
-                "arena=False must move payloads over the pickle channel"
+                "the fallback must move payloads over the pickle channel"
             )
-            assert delta.get("arena_stream_records", 0) == 0
 
-    def test_thread_executor_arena_identical(self):
-        for seed in range(3):
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_inline_engine_pickles_nothing(self, tmp_path, cached):
+        """``Engine(jobs=1)`` runs every wave in-process: no payload
+        entry crosses a pickle channel, with or without a cache."""
+        cache_dir = str(tmp_path / "cache") if cached else None
+        for seed in (0, 7, 8):
             text = generate_case(seed, self.GENERATOR).source
-            serial = fingerprint_run(text)
-            with Engine(jobs=2, executor="thread") as engine:
-                assert fingerprint_run(text, engine=engine) == serial
+            base = metrics.snapshot()
+            with Engine(jobs=1, cache_dir=cache_dir) as engine:
+                assert fingerprint_run(text, engine=engine) == (
+                    fingerprint_run(text)
+                )
+            delta = metrics.delta_since(base)["counters"]
+            assert delta.get("engine_pickle_payload_entries", 0) == 0
 
     def test_arena_run_matches_disk_cache_run(self, tmp_path):
         for seed in range(6):
             text = generate_case(seed, self.GENERATOR).source
-            with Engine(jobs=2, executor="process") as engine:
+            with Engine(jobs=2) as engine:
                 via_arena = fingerprint_run(text, engine=engine)
             cache_dir = str(tmp_path / f"cache{seed}")
             with Engine(cache_dir=cache_dir) as engine:

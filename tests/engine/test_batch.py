@@ -112,12 +112,11 @@ class TestRunBatch:
         for before, after in zip(cold.files, warm.files):
             assert outcome_fingerprint(before) == outcome_fingerprint(after)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_pool_matches_serial(self, programs, tmp_path, executor):
+    def test_pool_matches_serial(self, programs, tmp_path):
         big, small = programs
         paths = [str(big), str(small), str(big)]
         serial = run_batch(paths, jobs=1)
-        pooled = run_batch(paths, jobs=2, executor=executor)
+        pooled = run_batch(paths, jobs=2)
         assert [outcome_fingerprint(o) for o in serial.files] == [
             outcome_fingerprint(o) for o in pooled.files
         ]
@@ -132,7 +131,6 @@ class TestRunBatch:
             jobs=2,
             cache_dir=cache,
             explain=True,
-            executor="thread",
         )
         edited = warm.outcome(str(big)).invalidation
         assert edited["edited"] == ["p"]
@@ -142,8 +140,6 @@ class TestRunBatch:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             run_batch([], jobs=0)
-        with pytest.raises(ValueError):
-            run_batch([], executor="carrier-pigeon")
 
 
 class TestProfileAggregation:

@@ -1,18 +1,21 @@
-"""The batch thread executor is no longer serialized: files genuinely
-overlap in time (worker engine state is thread-local, per-file metrics
-land in thread-scoped registries) while output stays byte-identical to
-the inline run — per-file reports *and* per-file metrics deltas."""
+"""Per-file isolation of batch telemetry.
+
+A file analyzed on a thread that holds its own metrics scope reports
+exactly its own counters, even while another thread keeps counting
+into the process registry — the daemon's dispatcher thread relies on
+this against its connection-handler threads. Files analyzed on the
+batch process pool each carry their own profile."""
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 from repro import faults
 from repro.config import AnalysisConfig
 from repro.engine import batch
+from repro.obs import metrics as obs_metrics
 from repro.suite.generator import GeneratorConfig, generate_case
 
 GENERATOR = GeneratorConfig(procedures=6, max_statements_per_procedure=8)
@@ -35,109 +38,52 @@ def files(tmp_path):
     return paths
 
 
-def file_fingerprint(outcome):
-    return (
-        outcome.path,
-        outcome.status,
-        outcome.constants_report,
-        outcome.total_pairs,
-        outcome.substituted,
-        dict(outcome.per_procedure),
-    )
-
-
-def test_threads_really_overlap(files):
-    """With a 200ms per-file delay fault armed, two thread workers must
-    have at least two files in flight at once — the old global
-    worker-state lock serialized them."""
-    concurrent = {"now": 0, "peak": 0}
-    gate = threading.Lock()
-    original = batch.analyze_one
-
-    def tracked(path, *args, **kwargs):
-        with gate:
-            concurrent["now"] += 1
-            concurrent["peak"] = max(concurrent["peak"], concurrent["now"])
-        try:
-            return original(path, *args, **kwargs)
-        finally:
-            with gate:
-                concurrent["now"] -= 1
-
-    faults.install("delay-file:ms=200", export_env=False)
-    batch.analyze_one = tracked
-    start = time.perf_counter()
-    try:
-        result = batch.run_batch(
-            files, AnalysisConfig(), jobs=2, executor="thread"
-        )
-    finally:
-        batch.analyze_one = original
-        faults.clear()
-    wall = time.perf_counter() - start
-
-    assert result.ok
-    assert concurrent["peak"] >= 2, (
-        "thread executor never had two files in flight — still serialized"
-    )
-    # 4 files x 200ms of injected sleep is 800ms of delay; two workers
-    # overlap it into ~400ms. Well under the serial floor proves the
-    # sleeps (and the analyses around them) actually overlapped.
-    assert wall < 0.8, (
-        f"batch of 4 delayed files took {wall:.2f}s with 2 threads — "
-        f"no overlap"
-    )
-
-
-def test_thread_output_byte_identical_to_inline(files):
-    inline = batch.run_batch(files, AnalysisConfig(), jobs=1)
-    threaded = batch.run_batch(
-        files, AnalysisConfig(), jobs=2, executor="thread"
-    )
-    assert [file_fingerprint(o) for o in threaded.files] == [
-        file_fingerprint(o) for o in inline.files
-    ]
-    assert threaded.totals()["by_status"] == inline.totals()["by_status"]
+def analysis_counters(counters):
+    # Interpreter-level memo counters depend on process history; the
+    # analysis counters must match exactly.
+    return {k: v for k, v in counters.items() if not k.startswith("memo_")}
 
 
 def test_thread_scoped_metrics_isolate_per_file(files):
-    """Overlapping files must each report exactly their own counter
-    delta: same numbers the file reports when analyzed alone."""
-    faults.install("delay-file:ms=50", export_env=False)
-    try:
-        threaded = batch.run_batch(
-            files, AnalysisConfig(), jobs=2, executor="thread",
-            want_metrics=True,
-        )
-    finally:
-        faults.clear()
+    """Each file, analyzed on its own thread while a noisy sibling
+    thread counts into the process registry, must report exactly the
+    counters it reports when analyzed alone."""
     alone = {
-        path: batch.analyze_one(
-            path, AnalysisConfig(), want_metrics=True
-        )
+        path: batch.analyze_one(path, AnalysisConfig(), want_metrics=True)
         for path in files
     }
-    for outcome in threaded.files:
-        expected = alone[outcome.path].metrics["counters"]
-        observed = outcome.metrics["counters"]
-        # Interpreter-level memo counters depend on process history;
-        # the analysis counters must match exactly.
-        keys = {
-            k for k in set(expected) | set(observed)
-            if not k.startswith("memo_")
-        }
-        for key in sorted(keys):
-            assert observed.get(key, 0) == expected.get(key, 0), (
-                f"{outcome.path}: counter {key} diverged under overlap"
+    stop = threading.Event()
+
+    def noisy():
+        while not stop.is_set():
+            obs_metrics.inc("summary_cache_hits")
+
+    sibling = threading.Thread(target=noisy)
+    sibling.start()
+    observed = {}
+    try:
+        for path in files:
+            worker = threading.Thread(
+                target=lambda p=path: observed.__setitem__(
+                    p, batch.analyze_one(p, AnalysisConfig(), want_metrics=True)
+                )
             )
+            worker.start()
+            worker.join()
+    finally:
+        stop.set()
+        sibling.join()
+    for path in files:
+        assert analysis_counters(observed[path].metrics["counters"]) == (
+            analysis_counters(alone[path].metrics["counters"])
+        ), path
 
 
-def test_thread_profiles_attach_per_file(files):
-    threaded = batch.run_batch(
-        files, AnalysisConfig(), jobs=2, executor="thread",
-        want_profile=True,
+def test_pool_profiles_attach_per_file(files):
+    pooled = batch.run_batch(
+        files, AnalysisConfig(), jobs=2, want_profile=True,
     )
-    assert threaded.ok
-    for outcome in threaded.files:
+    assert pooled.ok
+    for outcome in pooled.files:
         assert outcome.profile is not None
         assert outcome.profile["counters"].get("parses", 0) >= 1

@@ -1,7 +1,7 @@
 """Engine vs serial parity over the entire golden regression corpus.
 
 The golden corpus pins the analyses' observable outputs; here we assert
-the engine (threaded, jobs=4) reproduces those outputs byte-for-byte on
+the engine (process pool, jobs=2) reproduces those outputs byte-for-byte on
 every corpus member under that member's own configuration.
 """
 
@@ -30,7 +30,7 @@ def fingerprint(result):
 def test_engine_matches_serial(name):
     member = CORPUS[name]
     serial = fingerprint(analyze_source(member.source, member.config))
-    with Engine(jobs=4, executor="thread") as engine:
+    with Engine(jobs=2) as engine:
         parallel = fingerprint(
             analyze_source(member.source, member.config, engine=engine)
         )

@@ -1,6 +1,7 @@
 """Parallel determinism: engine output must be byte-identical to the
 serial pipeline — same CONSTANTS report, same substitution counts, same
-transformed source, same demotion log — for every executor flavor."""
+transformed source, same demotion log — inline and on the process
+pool."""
 
 from dataclasses import replace
 
@@ -29,12 +30,15 @@ def fingerprint_run(text, config=None, engine=None):
     )
 
 
-class TestThreadPoolDeterminism:
+class TestInlineEngineDeterminism:
+    """``Engine(jobs=1)`` runs every wave in-process through the same
+    task functions and payload codec a pool worker uses."""
+
     def test_generated_programs_25_seeds(self):
         for seed in SEEDS:
             text = generate_case(seed, GENERATOR).source
             serial = fingerprint_run(text)
-            with Engine(jobs=4, executor="thread") as engine:
+            with Engine(jobs=1) as engine:
                 parallel = fingerprint_run(text, engine=engine)
             assert parallel == serial, f"seed {seed} diverged"
 
@@ -42,7 +46,7 @@ class TestThreadPoolDeterminism:
     def test_suite_programs(self, name):
         text = program_source(name)
         serial = fingerprint_run(text)
-        with Engine(jobs=4, executor="thread") as engine:
+        with Engine(jobs=1) as engine:
             assert fingerprint_run(text, engine=engine) == serial
 
     def test_demotion_log_parity_under_tight_budget(self):
@@ -54,7 +58,7 @@ class TestThreadPoolDeterminism:
             text = generate_case(seed, generator).source
             serial = fingerprint_run(text, config)
             assert serial[3], "tight budget should demote something"
-            with Engine(jobs=4, executor="thread") as engine:
+            with Engine(jobs=1) as engine:
                 assert fingerprint_run(text, config, engine=engine) == serial
 
 
@@ -67,20 +71,20 @@ class TestProcessPoolDeterminism:
     def test_suite_program(self):
         text = program_source("adm")
         serial = fingerprint_run(text)
-        with Engine(jobs=2, executor="process") as engine:
+        with Engine(jobs=2) as engine:
             assert fingerprint_run(text, engine=engine) == serial
 
     def test_generated_programs_two_seeds(self):
         for seed in (3, 11):
             text = generate_case(seed, GENERATOR).source
             serial = fingerprint_run(text)
-            with Engine(jobs=2, executor="process") as engine:
+            with Engine(jobs=2) as engine:
                 assert fingerprint_run(text, engine=engine) == serial
 
 
 class TestEngineReuse:
     def test_one_engine_many_programs(self):
-        with Engine(jobs=2, executor="thread") as engine:
+        with Engine(jobs=2) as engine:
             for name in ("adm", "linpackd"):
                 text = program_source(name)
                 assert fingerprint_run(text, engine=engine) == (
@@ -91,19 +95,13 @@ class TestEngineReuse:
         with pytest.raises(ValueError):
             Engine(jobs=0)
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            Engine(executor="fibers")
-
 
 class TestCacheParallelInteraction:
     def test_warm_parallel_matches_cold_serial(self, tmp_path):
         text = program_source("adm")
         serial = fingerprint_run(text)
-        with Engine(jobs=4, executor="thread",
-                    cache_dir=str(tmp_path)) as engine:
+        with Engine(jobs=2, cache_dir=str(tmp_path)) as engine:
             assert fingerprint_run(text, engine=engine) == serial
-        with Engine(jobs=4, executor="thread",
-                    cache_dir=str(tmp_path)) as engine:
+        with Engine(jobs=2, cache_dir=str(tmp_path)) as engine:
             assert fingerprint_run(text, engine=engine) == serial
             assert engine.cache.stats.misses == 0

@@ -150,14 +150,9 @@ class TestColdWarmByteIdentity:
     ):
         """A run cached by a version that stored no provenance must not
         serve --explain; the CLI re-analyzes instead."""
-        from repro.cli import _payload_serves
+        from repro.request import Wants, _payload_serves
 
-        class Args:
-            dump_ir = False
-            stats = False
-            explain = "g1@bar"
-
-        assert _payload_serves({"provenance": None}, Args()) is False
-        assert _payload_serves({}, Args()) is False
-        Args.explain = None
-        assert _payload_serves({}, Args()) is True
+        wants = Wants(explain="g1@bar")
+        assert _payload_serves({"provenance": None}, wants) is False
+        assert _payload_serves({}, wants) is False
+        assert _payload_serves({}, Wants()) is True

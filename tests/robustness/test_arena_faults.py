@@ -94,7 +94,7 @@ def test_engine_fault_falls_back_byte_identically(spec):
     faults.install(spec)  # export_env so forked workers also see it
     base = metrics.snapshot()
     try:
-        with Engine(jobs=2, executor="process") as engine:
+        with Engine(jobs=2) as engine:
             chaotic = fingerprint_run(text, engine=engine)
     finally:
         faults.clear()
@@ -112,7 +112,7 @@ def test_fault_free_control_run_never_falls_back():
     text = generate_case(5, GENERATOR).source
     serial = fingerprint_run(text)
     base = metrics.snapshot()
-    with Engine(jobs=2, executor="process") as engine:
+    with Engine(jobs=2) as engine:
         assert fingerprint_run(text, engine=engine) == serial
     delta = metrics.delta_since(base)["counters"]
     assert delta.get("arena_fallbacks", 0) == 0

@@ -37,7 +37,7 @@ class TestEnginePoolRecovery:
         flag.write_text("")
         faults.install(f"kill-worker:stage=ret,flag={flag}")
         base = metrics.snapshot()
-        with Engine(jobs=2, executor="process") as engine:
+        with Engine(jobs=2) as engine:
             recovered, result = fingerprint(TRI_PROGRAM, engine=engine)
             assert not engine.pool_demoted
         delta = metrics.delta_since(base)["counters"]
@@ -51,7 +51,7 @@ class TestEnginePoolRecovery:
         serial, _ = fingerprint(TRI_PROGRAM)
         faults.install("kill-worker:stage=ret")
         base = metrics.snapshot()
-        with Engine(jobs=2, executor="process") as engine:
+        with Engine(jobs=2) as engine:
             degraded, result = fingerprint(TRI_PROGRAM, engine=engine)
             assert engine.pool_demoted
             assert engine.jobs == 1
@@ -67,7 +67,7 @@ class TestEnginePoolRecovery:
         """After demotion the engine is a plain serial engine: later
         runs still answer (the daemon reuses one engine forever)."""
         faults.install("kill-worker:stage=ret")
-        with Engine(jobs=2, executor="process") as engine:
+        with Engine(jobs=2) as engine:
             first, _ = fingerprint(TRI_PROGRAM, engine=engine)
             assert engine.pool_demoted
             faults.clear()

@@ -112,14 +112,11 @@ class TestEngineFlags:
         """A payload recorded by a plain run (v2 always records the
         renderings, so simulate a degraded one) falls through to a live
         analysis instead of dropping the section."""
-        from repro.cli import _payload_serves
+        from repro.request import Wants, _payload_serves
 
-        class Args:
-            dump_ir = True
-            stats = False
-
-        assert not _payload_serves({"ir": None}, Args)
-        assert _payload_serves({"ir": "text", "stats": None}, Args)
+        wants = Wants(ir=True)
+        assert not _payload_serves({"ir": None}, wants)
+        assert _payload_serves({"ir": "text", "stats": None}, wants)
 
     def test_explain_invalidation_cold_warm_edited(
         self, program_file, tmp_path, capsys
