@@ -28,6 +28,11 @@ Subcommands:
   executed through the reference interpreter and cross-checked against
   the analysis (soundness, semantic preservation, budget monotonicity),
   with failing cases minimized and written to a corpus directory.
+
+``analyze``, ``link``, ``batch``, ``optimize`` and ``serve`` declare
+their flags once, in the option table :data:`_OPTIONS`; each analysis
+request runs through :func:`repro.request.run_request`, and this module
+only renders its outcome.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ large one — classic LPT list scheduling. Results are reported in the
 caller's input order regardless.
 
 Every file flows through :func:`repro.request.run_request`, the request
-path ``analyze`` and the daemon use — run-level replay cache first, then
-resilient analysis, then :meth:`~repro.engine.core.Engine.record_run`
-and the incremental manifest update — so a batch run leaves the cache exactly
-as N sequential ``analyze --cache`` runs would, and a later incremental
+path ``analyze`` and the daemon use — run-level replay cache first,
+then resilient analysis, then the run record and the incremental
+manifest update — so a batch run leaves the cache exactly as N
+sequential ``analyze --cache`` runs would, and a later incremental
 batch recomputes only the dirty procedures of edited files.
 """
 
@@ -29,34 +29,22 @@ from typing import Dict, List, Optional, Sequence
 
 from repro import faults
 from repro.config import AnalysisConfig
-from repro.request import DIAGNOSTICS, ERROR, OK
-
-#: The :class:`~repro.request.RequestOutcome` fields a
-#: :class:`FileOutcome` carries over.
-_SHARED_FIELDS = (
-    "status", "replayed", "config", "constants_report", "total_pairs",
-    "substituted", "per_procedure", "diagnostics", "error", "invalidation",
-    "opt_report", "opt_changes",
+from repro.request import (
+    DIAGNOSTICS,
+    ERROR,
+    OK,
+    RequestOutcome,
+    Wants,
+    run_request,
 )
 
 
 @dataclass
-class FileOutcome:
-    """One file's result, JSON-able end to end (it crosses the pool)."""
+class FileOutcome(RequestOutcome):
+    """One file's request outcome plus its telemetry. It crosses the
+    pool: the live analysis objects and the replay payload stay in the
+    worker."""
 
-    path: str
-    status: str = OK
-    config: Optional[str] = None
-    constants_report: Optional[str] = None
-    total_pairs: int = 0
-    substituted: int = 0
-    per_procedure: Dict[str, int] = field(default_factory=dict)
-    diagnostics: Optional[str] = None
-    error: Optional[str] = None
-    #: Served wholesale from the run-level replay cache.
-    replayed: bool = False
-    #: ``InvalidationReport.to_dict()`` (cache-enabled runs only).
-    invalidation: Optional[dict] = None
     #: ``PipelineProfile.to_dict()`` (profiled runs only).
     profile: Optional[dict] = None
     #: Per-file :class:`~repro.obs.metrics.MetricsRegistry` delta
@@ -66,10 +54,6 @@ class FileOutcome:
     #: Chrome trace events recorded by a pool worker, shipped back for
     #: the parent tracer to adopt (cleared once adopted).
     trace_events: Optional[list] = None
-    #: Rendered :class:`~repro.opt.report.OptReport` (``--optimize``
-    #: runs only), plus its total change count for the summary line.
-    opt_report: Optional[str] = None
-    opt_changes: int = 0
 
     @property
     def ok(self) -> bool:
@@ -200,7 +184,6 @@ def analyze_one(
     from repro import profiling
     from repro.engine.core import Engine
     from repro.obs import context as obs_context
-    from repro.request import Wants, run_request
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace
 
@@ -255,8 +238,7 @@ def analyze_one(
             "analyze", [path], config, engine,
             Wants(passes=tuple(optimize) if optimize is not None else None),
         )
-        for name in _SHARED_FIELDS:
-            setattr(outcome, name, getattr(request, name))
+        vars(outcome).update(request.__getstate__(), payload=None)
         if request.replayed and not explain:
             outcome.invalidation = None
         return outcome

@@ -105,3 +105,29 @@ class TestCacheParallelInteraction:
         with Engine(jobs=2, cache_dir=str(tmp_path)) as engine:
             assert fingerprint_run(text, engine=engine) == serial
             assert engine.cache.stats.misses == 0
+
+
+class TestSpawnWithoutSource:
+    def test_linked_program_runs_inline(self, monkeypatch):
+        """Spawn workers rebuild the program from its source text; a
+        linked program has none, so the engine runs the waves inline
+        and the result stays byte-identical."""
+        import multiprocessing
+
+        from repro.linkage import analyze_linked_sources
+
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        named = [("prog.f", program_source("adm"))]
+        serial, _ = analyze_linked_sources(named)
+        with Engine(jobs=2) as engine:
+            linked, _ = analyze_linked_sources(named, engine=engine)
+            assert engine._pool is None
+        assert linked.program.source is None
+
+        def fingerprint(result):
+            return (result.constants.format_report(),
+                    dict(result.substitution.per_procedure))
+
+        assert fingerprint(linked) == fingerprint(serial)
