@@ -133,7 +133,7 @@ class _Option(NamedTuple):
 
     @property
     def dest(self) -> str:
-        return self.kwargs.get("dest") or self.flags[-1].lstrip("-").replace("-", "_")
+        return self.flags[-1].lstrip("-").replace("-", "_")
 
     @property
     def default(self):
