@@ -14,11 +14,12 @@ Tiers (``BENCH_PIPELINE_TIER``):
   :func:`generate_scaled_program` tier (``BENCH_LARGE_PROCS``, default
   10000, capped at 100000). Runs only :func:`test_large_scale`: a
   serial pass in a fresh subprocess (clean peak-RSS and wall-time
-  accounting) and a parallel arena pass, gating cells/second
-  throughput, peak RSS, result-digest identity, and — on hosts with
-  at least four CPUs — parallel scaling efficiency. The arena pass
-  additionally asserts zero pickle-channel payload entries: summaries
-  moved through the shared-memory arena, not the pool pipe.
+  accounting) and a parallel pass, gating cells/second throughput,
+  peak RSS, result-digest identity, and — on hosts with at least four
+  CPUs — parallel scaling efficiency. The parallel pass additionally
+  asserts zero pickle-channel payload entries: the substitution pool
+  inherits its inputs by fork, so no summary payload rides the pool
+  pipe.
 
 ``BENCH_PIPELINE.json`` holds every tier side by side under a
 ``{"tiers": {<name>: <report>}}`` roof; a run replaces only its own
@@ -521,7 +522,7 @@ def test_observability_overhead(report, capfd):
 
 # One analysis pass in a fresh interpreter: wall time, solver cell
 # count, a result digest, the process's own peak RSS (clean — nothing
-# else ran in it), and the arena/pickle transport counters.
+# else ran in it), and the pickle-channel payload counter.
 _LARGE_RUNNER = """\
 import hashlib, json, resource, sys, time
 
@@ -555,8 +556,6 @@ print(json.dumps({
     "peak_rss_mb": round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     "pickle_entries": metrics.value("engine_pickle_payload_entries"),
-    "stream_records": metrics.value("arena_stream_records"),
-    "arena_fallbacks": metrics.value("arena_fallbacks"),
 }))
 """
 
@@ -566,11 +565,11 @@ print(json.dumps({
 )
 def test_large_scale(report, tmp_path_factory, capfd):
     """The 10k-100k-procedure tier: one layered scaled-generator
-    program, analyzed serially and with the arena-backed pool, each in
+    program, analyzed serially and with the substitution pool, each in
     a fresh subprocess so wall time and peak RSS are unpolluted.
 
     Gates: result digests identical, the parallel run moved zero
-    summary payloads over the pickle channel (the arena carried them),
+    summary payloads over the pickle channel,
     cells/second throughput, a peak-RSS ceiling that scales with the
     procedure count, and — on >= 4-CPU hosts — >= 1.5x parallel
     speedup at >= 37.5% per-worker efficiency.
@@ -603,17 +602,11 @@ def test_large_scale(report, tmp_path_factory, capfd):
     parallel = run(jobs)
 
     assert parallel["digest"] == serial["digest"], (
-        "arena-parallel result diverged from serial"
-    )
-    assert parallel["stream_records"] > 0, (
-        "parallel run never published to the arena stream"
-    )
-    assert parallel["arena_fallbacks"] == 0, (
-        "arena fell back to the pickle channel on a healthy host"
+        "parallel result diverged from serial"
     )
     assert parallel["pickle_entries"] == 0, (
         f"{parallel['pickle_entries']} summary payload entries crossed "
-        f"the pool's pickle channel — the arena should carry them all"
+        f"the pool's pickle channel — workers should inherit them"
     )
 
     cells = serial["cells"]
@@ -651,7 +644,6 @@ def test_large_scale(report, tmp_path_factory, capfd):
         "cells_per_second": round(cells_per_second, 1),
         "serial_peak_rss_mb": serial["peak_rss_mb"],
         "parallel_peak_rss_mb": parallel["peak_rss_mb"],
-        "arena_stream_records": parallel["stream_records"],
         "pickle_payload_entries": parallel["pickle_entries"],
         "digest": serial["digest"][:16],
     }
@@ -671,9 +663,8 @@ def test_large_scale(report, tmp_path_factory, capfd):
         "pipeline-large",
         f"large {LARGE_PROCS} procs ({cells} cells): serial "
         f"{serial['seconds']:.1f}s ({cells_per_second:.0f} cells/s, "
-        f"{serial['peak_rss_mb']:.0f}MiB), jobs={jobs} arena "
+        f"{serial['peak_rss_mb']:.0f}MiB), jobs={jobs} "
         f"{parallel['seconds']:.1f}s (speedup {speedup:.2f}x, "
-        f"{parallel['stream_records']} stream records, "
         f"{parallel['pickle_entries']} pickle entries, "
         f"cpus={os.cpu_count()})",
     )

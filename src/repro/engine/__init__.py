@@ -1,12 +1,12 @@
-"""The analysis engine: SCC-scheduled parallel summary generation, a
-persistent content-addressed summary cache, and per-run profiling.
+"""The analysis engine: a persistent content-addressed summary cache,
+a forked substitution fan-out, and per-run profiling.
 
 :class:`~repro.engine.core.Engine` is the only object callers touch; it
 plugs into :func:`repro.ipcp.driver.analyze_prepared` (and the
 ``analyze_*`` entry points above it) and replaces the serial
-return-function / forward-function / substitution stages with
-scheduled, cached, optionally parallel equivalents whose outputs are
-byte-identical to the serial pipeline's. See ``docs/PERFORMANCE.md``.
+return-function / forward-function / substitution stages with cached,
+optionally parallel equivalents whose outputs are byte-identical to the
+serial pipeline's. See ``docs/PERFORMANCE.md``.
 """
 
 from repro.engine.batch import BatchResult, FileOutcome, run_batch

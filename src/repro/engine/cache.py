@@ -26,13 +26,12 @@ measurements per procedure), ``run`` (whole-run outcomes keyed on
 source digest + config fingerprint — the ``repro analyze`` fast path),
 ``man`` (incremental manifests).
 
-This is the *cross-run* summary tier. Within one run, workers exchange
-the same Merkle-keyed summaries through the shared-memory arena
-(:mod:`repro.engine.arena`) instead — RAM-speed, zero pickling — and
-only the parent persists them here. Handles may be shared across the
-batch driver's (no longer serialized) threads, so the stats counters
-are lock-protected; the entry files themselves were always safe under
-concurrency via atomic rename.
+This is the *cross-run* summary tier. Within one run the parent builds
+return and forward jump functions itself, and substitution workers
+inherit what they read by fork, so only the parent persists summaries
+here. Handles may be shared across threads, so the stats counters are
+lock-protected; the entry files themselves are safe under concurrency
+via atomic rename.
 
 Fault-injection points (:mod:`repro.faults`): ``fail-write`` makes a
 store raise mid-write (degrades to a smaller cache), ``truncate-cache``

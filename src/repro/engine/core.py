@@ -1,31 +1,36 @@
-"""The analysis engine: scheduled, cached, optionally parallel summary
-generation with byte-identical results.
+"""The analysis engine: cached, optionally parallel per-procedure
+stages with byte-identical results.
 
 An :class:`Engine` slots into :func:`repro.ipcp.driver.analyze_prepared`
 and replaces the three per-procedure pipeline stages — return jump
 functions, forward jump functions, substitution measurement — with
 versions that
 
-1. schedule the work over the call graph's SCC condensation
-   (:mod:`repro.engine.scheduler`) and fan each wave out over a worker
-   pool (``--jobs N``);
-2. consult a persistent content-addressed summary cache
+1. consult a persistent content-addressed summary cache
    (:mod:`repro.engine.cache`) keyed by Merkle fingerprints
    (:mod:`repro.engine.fingerprint`), so unchanged procedures are never
    re-analyzed across runs;
+2. fan substitution measurement out over a worker pool forked after
+   propagation (``--jobs N``, :mod:`repro.engine.parallel`);
 3. time and count everything into a
    :class:`~repro.profiling.PipelineProfile` (``--profile``).
 
-Determinism is the design invariant: cached, parallel, and serial
-results are byte-identical because every path merges the same
-identity-free payloads (:mod:`repro.engine.summaries`) in the same
-serial order — the worker/cache layer only changes *where* a summary
-came from, never what is merged or when.
+Return and forward jump functions are built in the parent, straight
+into its :class:`~repro.ipcp.return_functions.ReturnFunctionMap` and
+:class:`~repro.ipcp.jump_functions.JumpFunctionTable`, in the serial
+pipeline's orders: Tarjan bottom-up for returns, top-down for forwards.
+Every jump function refers to its caller's variables, so one built in a
+worker would have to be re-resolved in the parent, which costs about
+as much as building it. A cache hit decodes into the map or table at
+the same position; a miss is built there and encoded only when the
+cache stores it. Substitution results are merged in program order
+whether they came from the cache, a worker or the parent, so cached,
+parallel and serial runs are byte-identical.
 
-The interprocedural solver itself stays in the parent (it is a tiny
-fraction of the pipeline and inherently sequential), as does the
-GSA-refinement loop and complete propagation (the driver passes
-``engine=None`` under ``config.complete``).
+The interprocedural solver stays in the parent (it is a tiny fraction
+of the pipeline and inherently sequential), as does the GSA-refinement
+loop and complete propagation (the driver passes ``engine=None`` under
+``config.complete``).
 """
 
 from __future__ import annotations
@@ -35,34 +40,24 @@ from typing import Dict, List, Optional
 
 from repro.config import AnalysisConfig
 from repro.engine import fingerprint, parallel, summaries
-from repro.engine import arena as arena_mod
 from repro.engine.cache import SummaryCache
 from repro.engine.fingerprint import _sha
-from repro.engine.scheduler import condensation_levels, partition
+from repro.engine.scheduler import partition
 from repro.ir.module import Program
 from repro.obs import context as obs_context
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.profiling import PipelineProfile
 
-#: Arena-mode chunk-size bound: task messages are near-constant-size
-#: there, so waves are cut finer than one-per-worker and stragglers
-#: stop serializing a level. (On the pickle path every extra task
-#: re-ships the whole summary payload, so no bound applies.)
-ARENA_MAX_CHUNK = 200
-
 
 class Engine:
     """One engine instance drives one or more analysis runs.
 
-    Even at ``jobs=1`` with no cache and no profile the engine is not
-    the plain serial pipeline: every summary is built by the same task
-    functions a pool worker runs, encoded to an identity-free payload
-    (:mod:`repro.engine.summaries`) and decoded into the parent's maps.
-    ``jobs > 1`` runs the waves on a process pool (fork when available,
-    else spawn) and exchanges summaries through the shared-memory arena
-    whenever it can be created, over the pool's pickle channel
-    otherwise.
+    At ``jobs=1`` without a cache the engine runs the plain builders in
+    the plain order. A cache adds a lookup before each component and a
+    store after each miss. ``jobs > 1`` forks a process pool for the
+    substitution stage only; without the fork start method substitution
+    runs inline.
     """
 
     def __init__(
@@ -79,32 +74,23 @@ class Engine:
             cache = SummaryCache(cache_dir)
         self.cache = cache
         self.profile = profile
-        #: Optional cooperative-cancellation hook: called between
-        #: scheduling waves; raising aborts the run (the daemon sets
-        #: this to its per-request deadline check).
+        #: Optional cooperative-cancellation hook: called before each
+        #: SCC, each forward procedure, the substitution fan-out and
+        #: each procedure substitution measures inline; raising aborts
+        #: the run (the daemon sets this to its per-request deadline
+        #: and drain checks).
         self.checkpoint: Optional[callable] = None
         #: True once the worker pool broke twice and this engine fell
         #: back to in-process serial execution for good.
         self.pool_demoted = False
         self._pool_rebuilt = False
         self._pool = None
-        self._pool_kind: Optional[str] = None
-        self._program: Optional[Program] = None
         self._config: Optional[AnalysisConfig] = None
         self._attached: Optional[Program] = None
         self._keys: Optional[Dict[str, str]] = None
         self._index: Optional[Dict[str, Dict[str, str]]] = None
-        self._loc_digests: Dict[str, str] = {}
         self._callgraph = None
-        self._returns_payload: List[dict] = []
-        #: Per-run arena segments: the *stream* (parent-published
-        #: canonical return-function records) and the *exchange*
-        #: (worker-published result records + the constants payload).
-        self._arena_stream: Optional[arena_mod.SummaryArena] = None
-        self._arena_exchange: Optional[arena_mod.SummaryArena] = None
-        #: False once anything arena-shaped failed this run — the rest
-        #: of the run sticks to the pickle path.
-        self._arena_healthy = True
+        self._return_map = None
         #: Procedure names whose summaries were actually (re)computed
         #: this run, per stage namespace — the incremental layer's
         #: ground truth that recomputation stayed inside the dirty set.
@@ -117,7 +103,6 @@ class Engine:
         here (and again whenever :meth:`_attach` sees a new program),
         so one engine can serve many runs, sharing its cache, pool
         policy, and profile."""
-        self._program = program
         self._config = config
         self._reset_run()
 
@@ -125,22 +110,14 @@ class Engine:
         self._attached = None
         self._keys = None
         self._index = None
-        self._loc_digests = {}
         self._callgraph = None
-        self._returns_payload = []
-        self._destroy_arenas()
-        self._arena_healthy = True
+        self._return_map = None
         self.recomputed = {"ret": [], "fwd": [], "sub": []}
-        if self._pool is not None:
-            # Worker state is per-run; a surviving pool holds stale
-            # programs. Recycle it (cheap relative to a full analysis).
-            self._shutdown_pool()
-        parallel._set_state(None)
+        # A surviving pool's workers hold the previous run's state.
+        self._shutdown_pool()
 
     def close(self) -> None:
         self._shutdown_pool()
-        self._destroy_arenas()
-        parallel._set_state(None)
 
     def __enter__(self) -> "Engine":
         return self
@@ -152,137 +129,17 @@ class Engine:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-            self._pool_kind = None
-
-    # -- shared-memory arena -------------------------------------------------
-
-    def _arena_active(self) -> bool:
-        """Whether waves should ride the arena — creating the per-run
-        segments on first use. Only meaningful with a pool (``jobs >
-        1``); creation failure quarantines the arena for the run."""
-        if not self._arena_healthy or self.jobs <= 1:
-            return False
-        if self._arena_stream is None:
-            try:
-                self._arena_stream = arena_mod.SummaryArena.create(
-                    label="stream"
-                )
-                self._arena_exchange = arena_mod.SummaryArena.create(
-                    label="exchange"
-                )
-            except arena_mod.ArenaError:
-                self._destroy_arenas()
-                self._disable_arena("create")
-                return False
-        return True
-
-    def _disable_arena(self, stage: str) -> None:
-        """Quarantine the arena for the rest of this run (the segments
-        stay mapped so in-flight workers can still finish reading) and
-        fall back to the pickle transport."""
-        if self._arena_healthy:
-            self._arena_healthy = False
-            self._count("arena_fallbacks")
-            if trace.ENABLED:
-                trace.instant("arena.fallback", stage=stage)
-
-    def _destroy_arenas(self) -> None:
-        for segment in (self._arena_stream, self._arena_exchange):
-            if segment is not None:
-                try:
-                    segment.destroy()
-                except Exception:  # noqa: BLE001 — teardown is best-
-                    pass  # effort; reap_stale collects leftovers
-        self._arena_stream = None
-        self._arena_exchange = None
-
-    def _publish_returns(self, pairs: List[tuple]) -> None:
-        """Mirror freshly appended canonical-payload entries into the
-        stream segment, in payload order, keyed like the Merkle cache.
-        The invariant ``stream record i == payload entry i`` (up to the
-        moment of a fallback) is what lets arena and pickle transports
-        interleave mid-run."""
-        if not pairs or not self._arena_active():
-            return
-        records = []
-        for name, entries in pairs:
-            key = (self._keys or {}).get(name, name)
-            for entry in entries:
-                records.append(("ret", key, entry))
-        if not records:
-            return
-        try:
-            self._arena_stream.append_many(records)
-            self._count("arena_stream_records", len(records))
-        except arena_mod.ArenaError:
-            self._disable_arena("publish")
-
-    def _dispatch_wave(
-        self,
-        task,
-        make_args,
-        resilience=None,
-        stage: Optional[str] = None,
-    ) -> List[dict]:
-        """Dispatch one wave over the preferred transport.
-
-        ``make_args(returns_ref)`` builds the task argument tuples for
-        a given return-function transport. Arena first: tasks get an
-        ``("arena", stream, upto, exchange)`` marker and may answer
-        with exchange descriptors, resolved here. Any
-        :class:`~repro.engine.arena.ArenaError` — a worker failing to
-        attach or read, or this parent failing to resolve a descriptor
-        — quarantines the arena and re-dispatches the *whole wave* over
-        the pickle path: waves are idempotent (pure summary computation
-        plus content-addressed cache stores), so the retry is
-        byte-identical to an undisturbed run.
-        """
-        if self._arena_active():
-            ref = (
-                "arena",
-                self._arena_stream.path,
-                len(self._returns_payload),
-                self._arena_exchange.path,
-            )
-            try:
-                results = self._dispatch(
-                    task, make_args(ref), resilience=resilience, stage=stage
-                )
-                return [self._resolve_result(data) for data in results]
-            except arena_mod.ArenaError:
-                self._disable_arena(stage or "dispatch")
-        snapshot = list(self._returns_payload)
-        args = make_args(snapshot)
-        if self._ensure_pool() is not None:
-            # The counter the arena-equivalence tests pivot on: entries
-            # shipped through the pool's pickle channel. Arena waves
-            # and inline waves ship zero.
-            self._count(
-                "engine_pickle_payload_entries", len(snapshot) * len(args)
-            )
-        return self._dispatch(
-            task, args, resilience=resilience, stage=stage
-        )
-
-    def _resolve_result(self, data: dict) -> dict:
-        """Unwrap a worker's ``{"@": index}`` exchange descriptor (a
-        plain result dict passes through — workers degrade to inline
-        shipping when the exchange is unavailable)."""
-        if "@" not in data:
-            return data
-        return self._arena_exchange.read_payload(data["@"])
 
     # -- attachment (first stage call) ---------------------------------------
 
     def _attach(self, program: Program, callgraph, config: AnalysisConfig):
         """Late binding at the first stage call: the program is prepared
-        (SSA form) by now, so summary keys can be computed and worker
-        state installed. A program the engine has not seen resets all
-        per-run state, so reuse without :meth:`start` is safe."""
+        (SSA form) by now, so summary keys can be computed. A program
+        the engine has not seen resets all per-run state, so reuse
+        without :meth:`start` is safe."""
         if self._attached is not program:
             self._reset_run()
             self._attached = program
-        self._program = program
         self._config = config
         self._callgraph = callgraph
         if self._keys is None:
@@ -298,51 +155,48 @@ class Engine:
                 else:
                     self._index = None
                     self._keys = {}
-        state = parallel._get_state()
-        if state is None or state.program is not program:
-            # Inline tasks run against the parent's own prepared
-            # objects; a process pool's forked children inherit this
-            # very state copy-on-write at submit time.
-            state = parallel._WorkerState(
-                program, config, prepared=True,
-                callgraph=callgraph, modref=None,
-            )
-            parallel._set_state(state)
-        # modref only matters to return-function generation:
-        return state
+
+    # -- the substitution pool -----------------------------------------------
 
     def _ensure_pool(self):
+        """The fork pool, created on first use; None at ``jobs=1`` or
+        without the fork start method (nothing could be inherited)."""
         if self.jobs <= 1 or self._pool is not None:
             return self._pool
         import concurrent.futures as cf
         import multiprocessing as mp
 
-        methods = mp.get_all_start_methods()
-        if "fork" in methods:
-            # Workers fork during the submit calls below and inherit the
-            # already-installed prepared state copy-on-write.
-            self._pool = cf.ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=mp.get_context("fork"),
-                initializer=parallel._worker_init,
-            )
-            self._pool_kind = "fork"
-        else:
-            source = self._program.source if self._program is not None else None
-            if source is None:
-                # Spawn workers cannot rebuild the program without its
-                # source text; run the waves inline instead.
-                return None
-            self._pool = cf.ProcessPoolExecutor(
-                max_workers=self.jobs,
-                mp_context=mp.get_context("spawn"),
-                initializer=parallel._init_spawn,
-                initargs=(source.text, source.filename, self._config),
-            )
-            self._pool_kind = "spawn"
-        for _ in range(self.jobs):
-            self._pool.submit(parallel._prime)
+        if "fork" not in mp.get_all_start_methods():
+            return None
+        # Workers fork during the first submit and inherit the state
+        # installed by _fan_out copy-on-write.
+        self._pool = cf.ProcessPoolExecutor(
+            max_workers=self.jobs,
+            mp_context=mp.get_context("fork"),
+            initializer=parallel._worker_init,
+        )
         return self._pool
+
+    def _fan_out(self, state, names: List[str], resilience) -> Dict[str, dict]:
+        """Measure ``names`` on a pool forked now, so its workers inherit
+        ``state``. Empty when no pool runs — at ``jobs=1``, without
+        fork, or after a demotion — and the caller measures inline."""
+        # A pool from an earlier fan-out holds stale inherited state.
+        self._shutdown_pool()
+        parallel._set_state(state)
+        try:
+            results = self._dispatch(
+                parallel._task_substitution,
+                [(chunk,) for chunk in partition(names, self.jobs)],
+                resilience=resilience,
+                stage="sub",
+            )
+        finally:
+            parallel._set_state(None)
+        computed: Dict[str, dict] = {}
+        for result in results or ():
+            computed.update(result)
+        return computed
 
     def _dispatch(
         self,
@@ -350,27 +204,25 @@ class Engine:
         arg_tuples: List[tuple],
         resilience=None,
         stage: Optional[str] = None,
-    ) -> List[dict]:
-        """Run ``task(*args)`` for each tuple — across the pool when
-        ``jobs > 1``, inline otherwise. Results keep submission order
-        (which per-chunk results are merged in is irrelevant anyway:
-        chunks are disjoint and merging is key-ordered by the caller).
+    ) -> Optional[List[dict]]:
+        """Run ``task(*args)`` for each tuple across the pool, results in
+        submission order; None when there is no pool to run them.
 
         A broken pool (a worker SIGKILLed by the OOM killer, an
         operator, or the ``kill-worker`` fault point) is survived, not
-        propagated: the pool is rebuilt once and the wave retried after
-        a jittered backoff; if the rebuilt pool breaks too, the engine
-        demotes itself to in-process serial execution for the rest of
-        its life and records the demotion on ``resilience``. Waves are
-        idempotent (pure summary computation plus content-addressed
-        cache stores), so a retry can never double-apply work — the
-        result is byte-identical to an undisturbed run.
+        propagated: the pool is rebuilt once and the tasks retried
+        after a jittered backoff; if the rebuilt pool breaks too, the
+        engine demotes itself to in-process serial execution for the
+        rest of its life, records the demotion on ``resilience`` and
+        returns None. Tasks are pure measurements, so a retry can never
+        double-apply work — the result is byte-identical to an
+        undisturbed run.
         """
         import concurrent.futures as cf
 
         pool = self._ensure_pool()
         if pool is None:
-            return [task(*args) for args in arg_tuples]
+            return None
         try:
             return self._pool_dispatch(pool, task, arg_tuples)
         except cf.BrokenExecutor:
@@ -389,8 +241,8 @@ class Engine:
                     self._count("engine_pool_broken")
                     self._shutdown_pool()
             # Second failure: degrade to serial, permanently for this
-            # engine. The parent's installed worker state serves the
-            # inline path, so results are unchanged — only slower.
+            # engine. The caller measures inline, so results are
+            # unchanged — only slower.
             self.pool_demoted = True
             self.jobs = 1
             self._count("engine_pool_demotions")
@@ -405,7 +257,7 @@ class Engine:
                     "worker pool broke twice; degraded to in-process "
                     "serial execution",
                 )
-            return [task(*args) for args in arg_tuples]
+            return None
 
     @staticmethod
     def _backoff(attempt: int) -> None:
@@ -426,16 +278,14 @@ class Engine:
         if trace.ENABLED:
             trace.instant(
                 "engine.dispatch", tasks=len(arg_tuples),
-                pool=self._pool_kind or "inline", jobs=self.jobs,
+                pool="fork", jobs=self.jobs,
             )
         ctx = obs_context.current_ids()
         if trace.ENABLED or ctx is not None:
             # Process workers record into their own tracer and ship
             # the new events back with each result; the parent adopts
             # them (worker pids become separate trace tracks).
-            # The wrapper also carries the request's correlation ids —
-            # the explicit channel that covers spawn workers and the
-            # pickle path, where nothing is inherited.
+            # The wrapper also carries the request's correlation ids.
             tracer = trace.active()
             futures = [
                 pool.submit(
@@ -452,12 +302,6 @@ class Engine:
             return results
         futures = [pool.submit(task, *args) for args in arg_tuples]
         return [future.result() for future in futures]
-
-    def _chunks(self, items: List, arena_wave: bool = False) -> List[List]:
-        return partition(
-            items, self.jobs,
-            max_chunk=ARENA_MAX_CHUNK if arena_wave else None,
-        )
 
     # -- profiling helpers ---------------------------------------------------
 
@@ -478,76 +322,42 @@ class Engine:
 
     def return_functions(self, program, callgraph, modref, config, resilience):
         """Engine version of :func:`repro.ipcp.return_functions.
-        build_return_functions`: level-scheduled, cached, parallel."""
-        from repro.ipcp.return_functions import ReturnFunctionMap
+        build_return_functions`: the same bottom-up walk into one map,
+        with an all-or-nothing cache lookup per SCC — members see each
+        other's partial summaries, so a component is built whole."""
+        from repro.ipcp.return_functions import (
+            ReturnFunctionMap,
+            build_return_functions_for,
+        )
 
-        state = self._attach(program, callgraph, config)
-        state.modref = modref
-        levels = condensation_levels(callgraph)
-        member_data: Dict[str, dict] = {}
-        payload = self._returns_payload = []
-
-        for level_index, level in enumerate(levels):
-            self._check()
-            pending: List[List[str]] = []
-            fresh: List[tuple] = []
-            for component in level:
-                names = [p.name for p in component]
-                cached = self._lookup_members("ret", names)
-                if cached is not None:
-                    member_data.update(cached)
-                    for name in names:
-                        payload.extend(cached[name]["fns"])
-                        fresh.append((name, cached[name]["fns"]))
-                else:
-                    pending.append(names)
-            # Cache-served entries reach sibling workers through the
-            # stream segment too — publish before the wave that cites
-            # them.
-            self._publish_returns(fresh)
-            if not pending:
-                continue
-            # Chunk whole SCCs across workers; every task of this wave
-            # cites the same payload prefix (by arena marker or by an
-            # identical pickled snapshot).
-            computed: Dict[str, dict] = {}
-            for result in self._dispatch_wave(
-                parallel._task_returns,
-                lambda ref, _level=level_index, _pending=pending: [
-                    (chunk, ref, _level)
-                    for chunk in self._chunks(
-                        _pending, arena_wave=not isinstance(ref, list)
-                    )
-                ],
-                resilience=resilience,
-                stage="ret",
-            ):
-                computed.update(result)
-            fresh = []
-            for names in pending:
-                for name in names:
-                    data = computed[name]
-                    member_data[name] = data
-                    payload.extend(data["fns"])
-                    fresh.append((name, data["fns"]))
-                    self._store_member("ret", name, data)
-                    self._note_recomputed("ret", name)
-            self._publish_returns(fresh)
-
-        # Merge in the serial pipeline's order — the full Tarjan
-        # bottom-up order, not level order — so the parent's map and the
-        # demotion log are indistinguishable from a serial run's.
-        return_map = ReturnFunctionMap()
+        self._attach(program, callgraph, config)
+        return_map = self._return_map = ReturnFunctionMap()
         for component in callgraph.sccs():
-            for member in component:
-                data = member_data.get(member.name)
-                if data is None:
-                    continue  # the main program: no return functions
-                for encoded in data["fns"]:
-                    return_map.add(
-                        summaries.decode_return_function(encoded, program)
-                    )
-                summaries.apply_demotions(data["dem"], resilience)
+            self._check()
+            cached = self._lookup_members("ret", [p.name for p in component])
+            for procedure in component:
+                name = procedure.name
+                if cached is not None:
+                    for encoded in cached[name]["fns"]:
+                        return_map.add(
+                            summaries.decode_return_function(encoded, program)
+                        )
+                    summaries.apply_demotions(cached[name]["dem"], resilience)
+                    continue
+                mark = len(resilience.demotions)
+                build_return_functions_for(
+                    program, [procedure], return_map, modref,
+                    budget=config.budget, resilience=resilience,
+                    fault_isolation=config.fault_isolation,
+                )
+                if self.cache is not None:
+                    self._store_member("ret", name, {
+                        "fns": summaries.encode_return_functions_of(
+                            return_map, name, program
+                        ),
+                        "dem": summaries.encode_demotions(resilience, mark),
+                    })
+                self._note_recomputed("ret", name)
         return return_map
 
     # -- stage: forward jump functions ---------------------------------------
@@ -555,119 +365,106 @@ class Engine:
     def forward_functions(self, program, callgraph, config, return_map,
                           resilience):
         """Engine version of :func:`repro.ipcp.jump_functions.
-        build_forward_jump_functions`: flat fan-out (independent per
-        procedure given the final return map)."""
-        from repro.ipcp.jump_functions import JumpFunctionTable
+        build_forward_jump_functions`: the same top-down walk into one
+        table, with a cache lookup per procedure."""
+        from repro.ipcp.jump_functions import (
+            JumpFunctionTable,
+            build_forward_jump_functions_for,
+        )
+        from repro.ipcp.return_functions import ReturnFunctionMap
 
         self._attach(program, callgraph, config)
-        order = [p.name for p in callgraph.top_down_order()]
-        member_data: Dict[str, dict] = {}
-        pending: List[str] = []
-        for name in order:
+        return_map = return_map or ReturnFunctionMap()
+        table = JumpFunctionTable(config.jump_function)
+        for procedure in callgraph.top_down_order():
+            self._check()
+            name = procedure.name
             cached = self._lookup_member("fwd", name)
             if cached is not None:
-                member_data[name] = cached
-            else:
-                pending.append(name)
-        if pending:
-            self._check()
-            for result in self._dispatch_wave(
-                parallel._task_forwards,
-                lambda ref: [
-                    (chunk, ref)
-                    for chunk in self._chunks(
-                        pending, arena_wave=not isinstance(ref, list)
+                for encoded in cached["fns"]:
+                    table.add(
+                        summaries.decode_forward_function(encoded, program)
                     )
-                ],
-                resilience=resilience,
-                stage="fwd",
-            ):
-                member_data.update(result)
-            for name in pending:
-                self._store_member("fwd", name, member_data[name])
-                self._note_recomputed("fwd", name)
-
-        table = JumpFunctionTable(config.jump_function)
-        for name in order:
-            data = member_data[name]
-            for encoded in data["fns"]:
-                table.add(summaries.decode_forward_function(encoded, program))
-            summaries.apply_demotions(data["dem"], resilience)
+                summaries.apply_demotions(cached["dem"], resilience)
+                continue
+            mark = len(resilience.demotions)
+            build_forward_jump_functions_for(
+                program, procedure, config.jump_function, table, return_map,
+                gcp_oracle=config.gcp_oracle, budget=config.budget,
+                resilience=resilience, fault_isolation=config.fault_isolation,
+            )
+            if self.cache is not None:
+                self._store_member("fwd", name, {
+                    "fns": summaries.encode_forward_functions_of(
+                        table, procedure, program
+                    ),
+                    "dem": summaries.encode_demotions(resilience, mark),
+                })
+            self._note_recomputed("fwd", name)
         return table
 
     # -- stage: substitution measurement -------------------------------------
 
     def substitution(self, program, callgraph, constants, config, resilience):
         """Engine version of :func:`repro.ipcp.substitution.
-        measure_substitution`: flat fan-out. The report carries no
-        ``sccp_results`` (only complete propagation reads those, and the
-        driver never routes complete propagation through the engine)."""
+        measure_substitution`, the one stage that fans out. The report
+        carries no ``sccp_results`` (only complete propagation reads
+        those, and the driver never routes complete propagation through
+        the engine)."""
+        from repro.analysis.sccp import SCCPCallModel
+        from repro.ipcp.return_functions import ReturnFunctionCallModel
         from repro.ipcp.substitution import SubstitutionReport
 
         self._attach(program, callgraph, config)
-        constants_payload = summaries.encode_constants(constants, program)
-        order = [p.name for p in program]
-        member_data: Dict[str, dict] = {}
-        pending: List[str] = []
-        for name in order:
-            key = self._substitution_key(name, constants_payload)
-            cached = (
-                self.cache.get("sub", key) if key is not None else None
-            )
-            if cached is not None:
+        if config.use_return_functions:
+            call_model = ReturnFunctionCallModel(program, self._return_map)
+        else:
+            call_model = SCCPCallModel()
+        state = parallel._WorkerState(program, config, constants, call_model)
+
+        keys = self._substitution_keys(program, constants)
+        cached: Dict[str, dict] = {}
+        for name, key in keys.items():
+            data = self.cache.get("sub", key)
+            if data is not None:
                 self._count("summary_cache_hits")
-                member_data[name] = cached
+                cached[name] = data
             else:
-                if key is not None:
-                    self._count("summary_cache_misses")
-                pending.append(name)
+                self._count("summary_cache_misses")
+        pending = [p.name for p in program if p.name not in cached]
+        computed: Dict[str, dict] = {}
         if pending:
             self._check()
+            computed = self._fan_out(state, pending, resilience)
 
-            def make_args(ref):
-                # The CONSTANTS payload is identical for every task of
-                # the wave; on the arena path it is published once to
-                # the exchange segment and cited by index instead of
-                # being pickled into each task message.
-                constants_ref = constants_payload
-                if not isinstance(ref, list):
-                    try:
-                        index = self._arena_exchange.append(
-                            "sub", "constants", constants_payload
-                        )
-                        constants_ref = (
-                            "const", self._arena_exchange.path, index
-                        )
-                    except arena_mod.ArenaError:
-                        constants_ref = constants_payload
-                return [
-                    (chunk, ref, constants_ref)
-                    for chunk in self._chunks(
-                        pending, arena_wave=not isinstance(ref, list)
-                    )
-                ]
-
-            for result in self._dispatch_wave(
-                parallel._task_substitution,
-                make_args,
-                resilience=resilience,
-                stage="sub",
-            ):
-                member_data.update(result)
-            for name in pending:
-                self._note_recomputed("sub", name)
-                key = self._substitution_key(name, constants_payload)
-                if key is not None:
-                    self.cache.put("sub", key, member_data[name])
-                    self._count("summary_cache_stores")
-
+        # Merge in program order, the serial pipeline's order.
         report = SubstitutionReport()
-        for name in order:
-            data = member_data[name]
-            summaries.decode_substitution_into(
-                data["sub"], program.procedure(name), report
-            )
-            summaries.apply_demotions(data["dem"], resilience)
+        for procedure in program:
+            name = procedure.name
+            data = cached.get(name) or computed.get(name)
+            if data is not None:
+                summaries.decode_substitution_into(
+                    data["sub"], procedure, report
+                )
+                summaries.apply_demotions(data["dem"], resilience)
+            else:
+                self._check()
+                mark = len(resilience.demotions)
+                measured = parallel.measure(state, procedure, resilience)
+                report.per_procedure[name] = measured.per_procedure[name]
+                report.sites.extend(measured.sites)
+                if name in keys:
+                    data = {
+                        "sub": summaries.encode_substitution_of(
+                            measured, name
+                        ),
+                        "dem": summaries.encode_demotions(resilience, mark),
+                    }
+            if name not in cached:
+                self._note_recomputed("sub", name)
+                if name in keys:
+                    self.cache.put("sub", keys[name], data)
+                    self._count("summary_cache_stores")
         return report
 
     # -- cache plumbing ------------------------------------------------------
@@ -707,14 +504,15 @@ class Engine:
         return found
 
     def _store_member(self, namespace: str, name: str, data: dict) -> None:
-        if self.cache is not None:
-            self.cache.put(namespace, self._keys[name], data)
-            self._count("summary_cache_stores")
+        self.cache.put(namespace, self._keys[name], data)
+        self._count("summary_cache_stores")
 
-    def _substitution_key(
-        self, name: str, constants_payload: dict
-    ) -> Optional[str]:
-        """Substitution depends on the callee summaries (the member key)
+    def _substitution_keys(
+        self, program: Program, constants
+    ) -> Dict[str, str]:
+        """Per-procedure substitution cache keys; empty without a cache.
+
+        Substitution depends on the callee summaries (the member key)
         *and* on the procedure's CONSTANTS cells — which reflect the
         whole program, callers included — so the key salts the member
         key with the encoded VAL cells. It also folds in the
@@ -724,17 +522,16 @@ class Engine:
         even though the procedure's semantics (and semantic key) are
         untouched."""
         if self.cache is None:
-            return None
-        location = self._loc_digests.get(name)
-        if location is None:
-            location = fingerprint.location_digest(
-                self._program.procedure(name)
-            )
-            self._loc_digests[name] = location
-        return _sha(
-            ["sub", self._keys[name], location,
-             json.dumps(constants_payload.get(name, []))]
-        )
+            return {}
+        cells = summaries.encode_constants(constants, program)
+        return {
+            procedure.name: _sha([
+                "sub", self._keys[procedure.name],
+                fingerprint.location_digest(procedure),
+                json.dumps(cells.get(procedure.name, [])),
+            ])
+            for procedure in program
+        }
 
     # -- incremental manifests -----------------------------------------------
 

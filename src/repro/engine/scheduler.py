@@ -1,21 +1,18 @@
-"""SCC condensation levels: the engine's unit of parallelism.
+"""SCC condensation levels and order-preserving work partitions.
 
-Return-jump-function generation is a bottom-up walk in which each
-procedure consults the summaries of its (direct) callees. Partitioning
-the condensation into *levels* — level 0 holds the SCCs with no
-external callees, level k+1 the SCCs all of whose external callees sit
-at levels ≤ k — makes every SCC within one level independent of every
-other (two same-level SCCs cannot call each other, or their levels
-would differ), so a level's components can be generated concurrently
-and the results merged in the serial (Tarjan) order. The whole-SCC
-granularity is deliberate: members of one component *do* see each
-other's partial summaries during generation, so a component is never
-split across workers.
+Partitioning the call graph's SCC condensation into *levels* — level 0
+holds the SCCs with no external callees, level k+1 the SCCs all of
+whose external callees sit at levels ≤ k — makes every SCC within one
+level independent of every other: two same-level SCCs cannot call each
+other, or their levels would differ. The level count is the number of
+barrier waves any bottom-up fan-out of return jump functions would
+need; the engine builds those in the parent instead, and the benchmark
+reports the count as ``engine.waves``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.callgraph.callgraph import CallGraph
 from repro.ir.module import Procedure
@@ -53,23 +50,11 @@ def condensation_levels(callgraph: CallGraph) -> List[List[List[Procedure]]]:
     return levels
 
 
-def partition(
-    items: List, chunks: int, max_chunk: Optional[int] = None
-) -> List[List]:
+def partition(items: List, chunks: int) -> List[List]:
     """Split ``items`` into at most ``chunks`` contiguous, order-
-    preserving, near-equal slices (no empty slices).
-
-    ``max_chunk`` caps the slice size by raising the slice count — the
-    arena-mode scheduler uses it to cut waves finer than one-per-worker
-    (task messages are near-constant-size there, so extra tasks cost
-    almost nothing and stragglers stop serializing a wave). Without the
-    arena each extra task re-ships the full summary payload, so the
-    engine leaves it unset on the pickle path.
-    """
+    preserving, near-equal slices (no empty slices)."""
     if not items:
         return []
-    if max_chunk is not None and max_chunk >= 1:
-        chunks = max(chunks, -(-len(items) // max_chunk))
     chunks = max(1, min(chunks, len(items)))
     size, remainder = divmod(len(items), chunks)
     result = []

@@ -1,20 +1,20 @@
 """Serialization of per-procedure analysis summaries.
 
-Worker processes and the on-disk cache exchange summaries as plain
-JSON-able payloads; this module defines the codecs. The encoding must
-be *identity-free*: :class:`~repro.ir.symbols.Variable` objects compare
-by identity and carry process-local uids, so every variable is encoded
-as a structural reference —
+The on-disk cache stores summaries, and substitution workers return
+theirs, as plain JSON-able payloads; this module defines the codecs.
+The encoding must be *identity-free*: :class:`~repro.ir.symbols.Variable`
+objects compare by identity and carry process-local uids, so every
+variable is encoded as a structural reference —
 
 - ``["f", procedure, index]`` — the ``index``-th formal of ``procedure``;
 - ``["g", block, name]`` — a global in COMMON block ``block``;
 - ``["r", procedure]`` — the function result variable;
 
 — and resolved back against the *decoder's* program object, which is
-guaranteed isomorphic (same source, same lowering) even across process
-boundaries. Expressions are encoded as their literal trees (return
-jump functions never contain unknowns — they are polynomial-convertible
-by construction), so decoded expressions are structurally equal to the
+guaranteed isomorphic (same source, same lowering) even across runs.
+Expressions are encoded as their literal trees (return jump functions
+never contain unknowns — they are polynomial-convertible by
+construction), so decoded expressions are structurally equal to the
 originals and the exit-agreement checks behave identically.
 """
 
@@ -293,10 +293,13 @@ def decode_substitution_into(
 # -- demotions ---------------------------------------------------------------
 
 
-def encode_demotions(resilience: ResilienceReport) -> List[list]:
+def encode_demotions(
+    resilience: ResilienceReport, start: int = 0
+) -> List[list]:
+    """The demotions recorded from index ``start`` on."""
     return [
         [d.component, d.site, d.from_kind, d.to_kind, d.reason]
-        for d in resilience.demotions
+        for d in resilience.demotions[start:]
     ]
 
 
@@ -306,33 +309,3 @@ def apply_demotions(data: List[list], resilience: Optional[ResilienceReport]) ->
     for component, site, from_kind, to_kind, reason in data:
         resilience.record(component, site, from_kind, to_kind, reason)
 
-
-# -- wire format (shared-memory arena) ---------------------------------------
-#
-# Every payload this module emits lives in the JSON data model (None,
-# bool, int, float, str, list, dict-with-str-keys) — that is the *wire
-# contract* the shared-memory arena depends on: arena records skip the
-# JSON round-trip the disk cache performs, so a payload that json.dumps
-# would accept but the binary codec would not (tuples, sets, objects)
-# must never appear here. to_wire/from_wire are the contract's
-# canonical entry points; decode helpers above deliberately accept
-# lists wherever they would accept tuples so a codec round-trip is
-# transparent.
-
-
-def to_wire(payload) -> bytes:
-    """Encode one summary payload with the arena's binary codec
-    (:mod:`repro.engine.codec`). Raises
-    :class:`~repro.engine.codec.CodecError` on anything outside the
-    wire contract — loudly, at the producer, not in a worker."""
-    from repro.engine import codec
-
-    return codec.encode_value(payload)
-
-
-def from_wire(data: bytes):
-    """Decode bytes produced by :func:`to_wire`; exact inverse
-    (``from_wire(to_wire(x)) == x`` including bool/int distinctions)."""
-    from repro.engine import codec
-
-    return codec.decode_value(data)

@@ -13,21 +13,15 @@ A **fault spec** is ``point:key=value,key=value,...``. The point names
 what breaks; the parameters say where and when:
 
 - ``kill-worker`` — SIGKILL the current *pool worker* process (never
-  the host process) at an engine task (``level=N``, ``stage=ret|fwd|
-  sub``) or a batch file task (``stage=batch``);
+  the host process) at an engine substitution task (``stage=sub``) or
+  a batch file task (``stage=batch``);
 - ``truncate-cache`` / ``corrupt-cache`` — tear or bit-rot a cache
   entry as it is written (detected later by the checksum layer);
 - ``fail-write`` — the cache write raises ``OSError`` (full disk);
 - ``delay-request`` — sleep ``ms=M`` inside the daemon's request
   lifecycle (``op=analyze`` etc.) — how deadline expiry is tested;
 - ``delay-file`` — sleep ``ms=M`` per batch/serve file analysis — how
-  drain-under-load and signal handling are tested;
-- ``corrupt-arena`` — bit-rot a shared-memory arena record as it is
-  appended (``namespace=ret|fwd|sub``); the reader's crc check must
-  quarantine the arena and fall back to the pickle path;
-- ``unlink-arena`` — remove the arena segment at attach time, the
-  "operator deleted /dev/shm files" drill; attaches fail cleanly and
-  the run falls back to the pickle path, never to a failed analysis.
+  drain-under-load and signal handling are tested.
 
 Triggering is deterministic:
 
@@ -70,8 +64,6 @@ POINTS = (
     "fail-write",
     "delay-request",
     "delay-file",
-    "corrupt-arena",
-    "unlink-arena",
 )
 
 

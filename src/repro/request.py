@@ -113,7 +113,7 @@ def run_request(
 
     ``engine`` may be None (the plain serial pipeline). Its
     ``checkpoint`` hook, when set, runs before a live analysis and
-    between scheduling waves; raising aborts the request.
+    inside the engine's stages; raising aborts the request.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown request kind {kind!r}")

@@ -17,8 +17,8 @@ The robustness core, mapped to code:
   latency stay bounded under any client load.
 - **deadlines with cooperative cancellation** — every ticket carries a
   :class:`~repro.serve.lifecycle.Deadline` (per-request override or
-  server default), checked at lifecycle checkpoints and between engine
-  scheduling waves (the engine's ``checkpoint`` hook). Expiry unwinds
+  server default), checked at lifecycle checkpoints and inside the
+  engine's stages (the engine's ``checkpoint`` hook). Expiry unwinds
   into a ``deadline_expired`` error; the abandoned work was idempotent
   cache-backed computation, so nothing is torn.
 - **worker-crash recovery** — a killed pool worker surfaces as
@@ -70,7 +70,6 @@ EXIT_SIGTERM = 143
 _STATUS_COUNTER_PREFIXES = (
     "serve_", "engine_pool_", "batch_pool_", "cache_", "faults_",
     "recomputed_", "run_cache_", "summary_cache_", "demotions_",
-    "arena_", "engine_pickle_",
 )
 
 
@@ -147,18 +146,6 @@ class ReproServer:
 
     def start(self) -> None:
         """Bind the socket and start the accept + dispatcher threads."""
-        # A previous daemon that died hard (SIGKILL, OOM) can leak
-        # arena segments in /dev/shm; reap anything whose owner pid is
-        # gone before this instance starts creating its own.
-        from repro.engine import arena as arena_mod
-
-        reaped = arena_mod.reap_stale()
-        if reaped:
-            print(
-                f"[repro serve: reaped {len(reaped)} stale arena "
-                f"segment(s)]",
-                file=sys.stderr,
-            )
         if self.config.trace_path is not None:
             self._tracer = trace.enable()
         if self.config.log_path is not None:
@@ -674,8 +661,8 @@ class ReproServer:
                     explain: Optional[str] = None):
         """The core serving path: replay-or-analyze a file or a project
         through :func:`repro.request.run_request` against the shared
-        engine, with deadline and drain checkpoints between scheduling
-        waves.
+        engine, with deadline and drain checkpoints inside the engine's
+        stages.
 
         The dispatcher pushes a metrics scope per request, so the
         registry delta is exactly this request's counters; the

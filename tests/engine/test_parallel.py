@@ -1,8 +1,10 @@
 """Parallel determinism: engine output must be byte-identical to the
 serial pipeline — same CONSTANTS report, same substitution counts, same
-transformed source, same demotion log — inline and on the process
-pool."""
+transformed source, same demotion log — inline and with the
+substitution pool."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
@@ -31,8 +33,8 @@ def fingerprint_run(text, config=None, engine=None):
 
 
 class TestInlineEngineDeterminism:
-    """``Engine(jobs=1)`` runs every wave in-process through the same
-    task functions and payload codec a pool worker uses."""
+    """``Engine(jobs=1)`` builds every summary in-process, in the
+    serial pipeline's order."""
 
     def test_generated_programs_25_seeds(self):
         for seed in SEEDS:
@@ -61,12 +63,35 @@ class TestInlineEngineDeterminism:
             with Engine(jobs=1) as engine:
                 assert fingerprint_run(text, config, engine=engine) == serial
 
+    def test_demotion_counters_match_plain(self):
+        """Each demotion is counted once, as on the plain path."""
+        from repro.obs import metrics
+
+        config = replace(AnalysisConfig(), budget=AnalysisBudget.tight())
+        text = generate_case(
+            0, GeneratorConfig(procedures=10, max_statements_per_procedure=12)
+        ).source
+
+        def demotion_counters(engine=None):
+            base = metrics.snapshot()
+            analyze_source(text, config, engine=engine)
+            counters = metrics.delta_since(base)["counters"]
+            return {
+                name: value for name, value in counters.items()
+                if name.startswith("demotions_")
+            }
+
+        plain = demotion_counters()
+        assert plain, "tight budget should demote something"
+        with Engine(jobs=1) as engine:
+            assert demotion_counters(engine) == plain
+
 
 class TestProcessPoolDeterminism:
-    """Fork workers rebuild nothing (copy-on-write inheritance); spawn
-    fallbacks re-lower from source. Either way the merge is driven by
-    identity-free payloads, so outputs are byte-identical. Kept small:
-    pool startup dominates on a 1-CPU container."""
+    """Substitution workers fork after propagation and rebuild nothing
+    (copy-on-write inheritance); their identity-free results are merged
+    in program order, so outputs are byte-identical. Kept small: pool
+    startup dominates on a 1-CPU container."""
 
     def test_suite_program(self):
         text = program_source("adm")
@@ -107,18 +132,58 @@ class TestCacheParallelInteraction:
             assert engine.cache.stats.misses == 0
 
 
-class TestSpawnWithoutSource:
-    def test_linked_program_runs_inline(self, monkeypatch):
-        """Spawn workers rebuild the program from its source text; a
-        linked program has none, so the engine runs the waves inline
-        and the result stays byte-identical."""
-        import multiprocessing
+@pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="the substitution pool forks"
+)
+class TestPoolEquivalence:
+    """Pool vs serial vs disk cache over 24 seeded programs."""
 
-        from repro.linkage import analyze_linked_sources
+    SEEDS = range(24)
 
+    def test_24_seeds_pool_matches_serial(self):
+        for seed in self.SEEDS:
+            text = generate_case(seed, GENERATOR).source
+            serial = fingerprint_run(text)
+            with Engine(jobs=2) as engine:
+                parallel = fingerprint_run(text, engine=engine)
+                assert engine._pool is not None, "the pool never forked"
+            assert parallel == serial, f"seed {seed} diverged"
+
+    def test_pool_run_matches_disk_cache_run(self, tmp_path):
+        for seed in range(6):
+            text = generate_case(seed, GENERATOR).source
+            with Engine(jobs=2) as engine:
+                via_pool = fingerprint_run(text, engine=engine)
+            cache_dir = str(tmp_path / f"cache{seed}")
+            with Engine(cache_dir=cache_dir) as engine:
+                cold = fingerprint_run(text, engine=engine)
+            with Engine(cache_dir=cache_dir) as engine:
+                warm = fingerprint_run(text, engine=engine)
+                assert engine.cache.stats.hits > 0
+            assert via_pool == cold == warm, f"seed {seed} diverged"
+
+
+class TestWithoutFork:
+    """Without the fork start method nothing can be inherited, so the
+    engine starts no pool and measures substitution inline; the result
+    stays byte-identical."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
+
+    def test_file_runs_inline(self):
+        text = program_source("adm")
+        serial = fingerprint_run(text)
+        with Engine(jobs=2) as engine:
+            assert fingerprint_run(text, engine=engine) == serial
+            assert engine._pool is None
+
+    def test_linked_program_runs_inline(self):
+        from repro.linkage import analyze_linked_sources
+
         named = [("prog.f", program_source("adm"))]
         serial, _ = analyze_linked_sources(named)
         with Engine(jobs=2) as engine:
@@ -131,3 +196,30 @@ class TestSpawnWithoutSource:
                     dict(result.substitution.per_procedure))
 
         assert fingerprint(linked) == fingerprint(serial)
+
+
+class TestCheckpoint:
+    def test_fifth_call_aborts_inside_the_return_stage(self):
+        """The checkpoint runs before every SCC, so a deadline that
+        expires mid-stage stops the return stage itself, not the next
+        stage boundary."""
+        from repro.suite.generator import ScaleConfig, generate_scaled_program
+
+        text = generate_scaled_program(7, ScaleConfig(procedures=200))
+        calls = []
+
+        class Expired(Exception):
+            pass
+
+        def checkpoint():
+            calls.append(None)
+            if len(calls) == 5:
+                raise Expired
+
+        with Engine(jobs=1) as engine:
+            engine.checkpoint = checkpoint
+            with pytest.raises(Expired):
+                analyze_source(text, AnalysisConfig(), engine=engine)
+            assert 4 <= len(engine.recomputed["ret"]) < 100
+            assert engine.recomputed["fwd"] == []
+            assert engine.recomputed["sub"] == []

@@ -35,7 +35,7 @@ class TestEnginePoolRecovery:
         serial, _ = fingerprint(TRI_PROGRAM)
         flag = tmp_path / "armed"
         flag.write_text("")
-        faults.install(f"kill-worker:stage=ret,flag={flag}")
+        faults.install(f"kill-worker:stage=sub,flag={flag}")
         base = metrics.snapshot()
         with Engine(jobs=2) as engine:
             recovered, result = fingerprint(TRI_PROGRAM, engine=engine)
@@ -49,7 +49,7 @@ class TestEnginePoolRecovery:
 
     def test_double_crash_demotes_to_serial(self):
         serial, _ = fingerprint(TRI_PROGRAM)
-        faults.install("kill-worker:stage=ret")
+        faults.install("kill-worker:stage=sub")
         base = metrics.snapshot()
         with Engine(jobs=2) as engine:
             degraded, result = fingerprint(TRI_PROGRAM, engine=engine)
@@ -66,7 +66,7 @@ class TestEnginePoolRecovery:
     def test_demoted_engine_keeps_serving(self):
         """After demotion the engine is a plain serial engine: later
         runs still answer (the daemon reuses one engine forever)."""
-        faults.install("kill-worker:stage=ret")
+        faults.install("kill-worker:stage=sub")
         with Engine(jobs=2) as engine:
             first, _ = fingerprint(TRI_PROGRAM, engine=engine)
             assert engine.pool_demoted

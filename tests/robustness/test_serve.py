@@ -269,7 +269,7 @@ class TestServeFaults:
         demote to in-process serial, say so in ``degraded``, and still
         return byte-identical analysis content — and the daemon itself
         must survive (the fault guard never kills the host)."""
-        faults.install("kill-worker:stage=ret")
+        faults.install("kill-worker:stage=sub")
         server = make_server(workdir, jobs=2)
         program = str(workdir / "prog.f")
         try:
