@@ -10,9 +10,15 @@ from dataclasses import replace
 import pytest
 
 from repro.config import AnalysisBudget, AnalysisConfig
-from repro.engine import Engine
+from repro.engine import Engine, parallel, summaries
 from repro.ipcp.driver import analyze_source
-from repro.suite.generator import GeneratorConfig, generate_case
+from repro.ipcp.substitution import SubstitutionReport
+from repro.suite.generator import (
+    GeneratorConfig,
+    ScaleConfig,
+    generate_case,
+    generate_scaled_program,
+)
 from repro.suite.programs import SUITE_PROGRAM_NAMES, program_source
 
 GENERATOR = GeneratorConfig(procedures=6, max_statements_per_procedure=8)
@@ -93,8 +99,9 @@ class TestProcessPoolDeterminism:
     in program order, so outputs are byte-identical. Kept small: pool
     startup dominates on a 1-CPU container."""
 
-    def test_suite_program(self):
-        text = program_source("adm")
+    @pytest.mark.parametrize("name", SUITE_PROGRAM_NAMES)
+    def test_suite_program(self, name):
+        text = program_source(name)
         serial = fingerprint_run(text)
         with Engine(jobs=2) as engine:
             assert fingerprint_run(text, engine=engine) == serial
@@ -198,18 +205,61 @@ class TestWithoutFork:
         assert fingerprint(linked) == fingerprint(serial)
 
 
+class TestSubstitutionTask:
+    """The task a forked worker runs, called in-process with the state
+    the parent installs before forking."""
+
+    def test_without_inherited_state_is_an_error(self):
+        parallel._set_state(None)
+        with pytest.raises(RuntimeError, match="never installed"):
+            parallel._task_substitution(["main"])
+
+    def test_chunk_results_merge_to_the_serial_report(self):
+        from repro.ipcp.return_functions import ReturnFunctionCallModel
+
+        text = generate_case(5, GENERATOR).source
+        serial = analyze_source(text)
+        program = serial.program
+        state = parallel._WorkerState(
+            program, serial.config, serial.constants,
+            ReturnFunctionCallModel(program, serial.return_functions),
+        )
+        names = [p.name for p in program]
+        parallel._set_state(state)
+        try:
+            results = {}
+            for chunk in (names[:3], names[3:]):
+                results.update(parallel._task_substitution(chunk))
+        finally:
+            parallel._set_state(None)
+        assert list(results) == names
+        report = SubstitutionReport()
+        for procedure in program:
+            data = results[procedure.name]
+            assert data["dem"] == []
+            summaries.decode_substitution_into(data["sub"], procedure, report)
+        assert report.per_procedure == serial.substitution.per_procedure
+        assert [
+            (s.procedure_name, s.use.var.name, s.value) for s in report.sites
+        ] == [
+            (s.procedure_name, s.use.var.name, s.value)
+            for s in serial.substitution.sites
+        ]
+
+
+class Expired(Exception):
+    pass
+
+
 class TestCheckpoint:
+    TEXT = generate_scaled_program(7, ScaleConfig(procedures=200))
+
     def test_fifth_call_aborts_inside_the_return_stage(self):
         """The checkpoint runs before every SCC, so a deadline that
         expires mid-stage stops the return stage itself, not the next
         stage boundary."""
-        from repro.suite.generator import ScaleConfig, generate_scaled_program
-
-        text = generate_scaled_program(7, ScaleConfig(procedures=200))
+        text = self.TEXT
         calls = []
-
-        class Expired(Exception):
-            pass
 
         def checkpoint():
             calls.append(None)
@@ -222,4 +272,43 @@ class TestCheckpoint:
                 analyze_source(text, AnalysisConfig(), engine=engine)
             assert 4 <= len(engine.recomputed["ret"]) < 100
             assert engine.recomputed["fwd"] == []
+            assert engine.recomputed["sub"] == []
+
+    @pytest.mark.parametrize("stage", ["fwd", "sub"])
+    def test_abort_inside_a_later_stage(self, stage):
+        """The checkpoint also runs before every forward procedure and
+        every procedure substitution measures inline: a deadline a few
+        calls into either stage stops that stage part-way."""
+        procedures = len(analyze_source(self.TEXT).program.procedures)
+        previous = {"fwd": "ret", "sub": "fwd"}[stage]
+        seen = []
+
+        def checkpoint():
+            # The first call after the previous stage finished is the
+            # first call of this one.
+            if len(engine.recomputed[previous]) == procedures:
+                seen.append(None)
+                if len(seen) == 4:
+                    raise Expired
+
+        with Engine(jobs=1) as engine:
+            engine.checkpoint = checkpoint
+            with pytest.raises(Expired):
+                analyze_source(self.TEXT, AnalysisConfig(), engine=engine)
+            assert 0 < len(engine.recomputed[stage]) < procedures
+            if stage == "fwd":
+                assert engine.recomputed["sub"] == []
+
+    def test_expired_deadline_stops_the_fan_out_before_forking(self):
+        procedures = len(analyze_source(self.TEXT).program.procedures)
+
+        def checkpoint():
+            if len(engine.recomputed["fwd"]) == procedures:
+                raise Expired
+
+        with Engine(jobs=2) as engine:
+            engine.checkpoint = checkpoint
+            with pytest.raises(Expired):
+                analyze_source(self.TEXT, AnalysisConfig(), engine=engine)
+            assert engine._pool is None
             assert engine.recomputed["sub"] == []

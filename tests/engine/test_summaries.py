@@ -1,13 +1,21 @@
 """Codec round-trips: summaries must decode into structurally equal
 objects against an isomorphic (freshly re-lowered) program."""
 
+import functools
+import json
+from dataclasses import replace
+
 import pytest
 
-from repro.config import AnalysisConfig
+from repro.config import AnalysisBudget, AnalysisConfig
 from repro.engine import summaries
 from repro.ipcp.driver import analyze_source, prepare_program
 from repro.ipcp.jump_functions import build_forward_jump_functions
+from repro.ipcp.resilience import ResilienceReport
 from repro.ipcp.return_functions import build_return_functions
+from repro.ipcp.substitution import SubstitutionReport
+from repro.suite.generator import GeneratorConfig, generate_case
+from repro.suite.programs import SUITE_PROGRAM_NAMES, program_source
 
 from tests.conftest import lower
 
@@ -80,8 +88,6 @@ class TestReturnFunctionCodec:
             assert back.polynomial == fn.polynomial
 
     def test_roundtrip_is_json_safe(self):
-        import json
-
         program, _, return_map, _ = built()
         for fn in return_map:
             data = summaries.encode_return_function(fn, program)
@@ -135,8 +141,6 @@ class TestConstantsCodec:
 
 class TestSubstitutionCodec:
     def test_roundtrip(self):
-        from repro.ipcp.substitution import SubstitutionReport
-
         result = analyze_source(SOURCE)
         rebuilt = SubstitutionReport()
         for procedure in result.program:
@@ -149,3 +153,166 @@ class TestSubstitutionCodec:
         original = result.transformed_source()
         result.substitution = rebuilt
         assert result.transformed_source() == original
+
+
+# -- decoding into a fresh run -------------------------------------------------
+#
+# A cache hit decodes summaries written by an earlier run into the
+# current run's program, and substitution workers ship their sites back
+# to the parent the same way. Each corpus program is analyzed twice:
+# payloads encoded against the first run (and passed through JSON, as
+# the cache and the pool pipe do) must decode into the second run's
+# objects exactly.
+
+GENERATED_SEEDS = (0, 3, 5, 7)
+CORPUS = [f"suite-{name}" for name in SUITE_PROGRAM_NAMES] + [
+    f"gen-{seed}" for seed in GENERATED_SEEDS
+]
+
+
+def corpus_source(case):
+    kind, _, name = case.partition("-")
+    if kind == "suite":
+        return program_source(name)
+    generator = GeneratorConfig(procedures=8, max_statements_per_procedure=10)
+    return generate_case(int(name), generator).source
+
+
+@functools.lru_cache(maxsize=None)
+def two_runs(case):
+    """Two independent analyses of one corpus program (shared by the
+    tests below, which only read them)."""
+    text = corpus_source(case)
+    return analyze_source(text), analyze_source(text)
+
+
+def over_the_wire(data):
+    return json.loads(json.dumps(data))
+
+
+@pytest.mark.parametrize("case", CORPUS)
+def test_return_functions_decode_into_fresh_run(case):
+    first, second = two_runs(case)
+    for procedure in second.program:
+        theirs = second.return_functions.functions_of(procedure.name)
+        encoded = over_the_wire(summaries.encode_return_functions_of(
+            first.return_functions, procedure.name, first.program
+        ))
+        decoded = [
+            summaries.decode_return_function(data, second.program)
+            for data in encoded
+        ]
+        assert len(decoded) == len(theirs)
+        for back, fn in zip(decoded, theirs):
+            assert back.procedure_name == fn.procedure_name
+            assert back.target is fn.target
+            assert back.expr == fn.expr
+            assert back.polynomial == fn.polynomial
+
+
+@pytest.mark.parametrize("case", CORPUS)
+def test_forward_functions_decode_into_fresh_run(case):
+    first, second = two_runs(case)
+    for procedure in second.program:
+        encoded = over_the_wire(summaries.encode_forward_functions_of(
+            first.jump_table, first.program.procedure(procedure.name),
+            first.program,
+        ))
+        decoded = [
+            summaries.decode_forward_function(data, second.program)
+            for data in encoded
+        ]
+        expected = [
+            fn for call in procedure.call_sites()
+            for fn in second.jump_table.for_call(call)
+        ]
+        assert len(decoded) == len(expected)
+        for back, fn in zip(decoded, expected):
+            assert back.call is fn.call
+            assert back.target is fn.target
+            assert back.kind == fn.kind
+            assert back.constant == fn.constant
+            assert back.source_var is fn.source_var
+            assert back.polynomial == fn.polynomial
+
+
+@pytest.mark.parametrize("case", CORPUS)
+def test_constants_decode_into_fresh_run(case):
+    first, second = two_runs(case)
+    encoded = over_the_wire(
+        summaries.encode_constants(first.constants, first.program)
+    )
+    back = summaries.decode_constants(encoded, second.program)
+    assert back.format_report() == second.constants.format_report()
+    assert summaries.encode_constants(back, second.program) == encoded
+
+
+@pytest.mark.parametrize("case", CORPUS)
+def test_substitution_decode_into_fresh_run(case):
+    first, second = two_runs(case)
+    rebuilt = SubstitutionReport()
+    for procedure in second.program:
+        encoded = over_the_wire(summaries.encode_substitution_of(
+            first.substitution, procedure.name
+        ))
+        summaries.decode_substitution_into(encoded, procedure, rebuilt)
+    assert rebuilt.per_procedure == second.substitution.per_procedure
+    assert replace(second, substitution=rebuilt).transformed_source() == (
+        second.transformed_source()
+    )
+
+
+class TestDemotionCodec:
+    def test_roundtrip_from_a_mark(self):
+        config = replace(AnalysisConfig(), budget=AnalysisBudget.tight())
+        generator = GeneratorConfig(
+            procedures=10, max_statements_per_procedure=12
+        )
+        result = analyze_source(generate_case(0, generator).source, config)
+        demotions = result.resilience.demotions
+        assert len(demotions) >= 2, "tight budget should demote twice"
+        mark = 1
+        encoded = over_the_wire(
+            summaries.encode_demotions(result.resilience, mark)
+        )
+        rebuilt = ResilienceReport()
+        summaries.apply_demotions(encoded, rebuilt)
+        assert [
+            (d.component, d.site, d.from_kind, d.to_kind, d.reason)
+            for d in rebuilt.demotions
+        ] == [
+            (d.component, d.site, d.from_kind, d.to_kind, d.reason)
+            for d in demotions[mark:]
+        ]
+
+    def test_apply_without_report_is_a_noop(self):
+        summaries.apply_demotions([["c", "s", "a", "b", "r"]], None)
+
+
+@pytest.mark.parametrize(
+    "decode, data",
+    [
+        ("varref", ["x", "s"]),
+        ("varref", ["g", "c", "nosuch"]),
+        ("varref", ["r", "s"]),
+        ("expr", ["q", 1]),
+        ("substitution", {"n": 1, "sites": [["nosuch", 1, ["f", 1, 1], 3]]}),
+    ],
+    ids=[
+        "unknown-varref-tag", "unknown-global", "subroutine-has-no-result",
+        "unknown-expr-tag", "unknown-substituted-variable",
+    ],
+)
+def test_malformed_payload_is_a_value_error(decode, data):
+    """A payload that does not fit the decoder's program is refused, not
+    resolved to some other variable."""
+    program, *_ = built()
+    with pytest.raises(ValueError):
+        if decode == "varref":
+            summaries.resolve_varref(data, program)
+        elif decode == "expr":
+            summaries.decode_expr(data, program)
+        else:
+            summaries.decode_substitution_into(
+                data, program.procedure("s"), SubstitutionReport()
+            )

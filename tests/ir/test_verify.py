@@ -208,7 +208,10 @@ class TestSsaCorruption:
     def test_use_before_def_in_same_block_detected(self):
         program = ssa_program()
         main = program.main
-        for block in main.cfg.reachable_blocks():
+        # Blocks in a fixed order, and only defs of non-phi instructions:
+        # a use of a phi's def cannot be moved above the phis, so a block
+        # whose only pair is phi → use would make the move a no-op.
+        for block in main.cfg.reverse_postorder():
             movable = None
             for position, instruction in enumerate(block.instructions):
                 if isinstance(instruction, Phi) or instruction.is_terminator:
@@ -216,6 +219,7 @@ class TestSsaCorruption:
                 defining = {
                     (d.var, d.version)
                     for earlier in block.instructions[:position]
+                    if not isinstance(earlier, Phi)
                     for d in earlier.defs()
                 }
                 if any(
